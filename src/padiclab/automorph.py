@@ -23,7 +23,6 @@ from .core import (
     ContextMismatch,
     PadicInt,
     PrimeContext,
-    inverse_unit,
     padic_from_json,
     pow_unit,
     teichmuller,
@@ -273,35 +272,60 @@ def aut_spec_from_json(ctx: PrimeContext, data: dict) -> AutSpec:
 
 
 def _realize_mul(spec: MulSpec) -> LipschitzFn:
+    """Tabulate x = p**k * theta * w -> (p*A)**k * theta**s * w**a in O(p**K).
+
+    The principal units w are walked as the group their cyclic generators
+    span: 1+p for odd p; -1 and 5 for p = 2 (either may reduce to 1 at K <= 2).
+    w**a follows by multiplying the generators' powers along the walk, so
+    pow_unit runs once per generator, not once per principal unit.  A unit
+    is theta * w with theta the Teichmueller lift of its units digit, and a
+    non-unit p**k * v takes (p*A)**k times the entry of the unit v.
+    """
     ctx = spec.ctx
     p, modulus = ctx.p, ctx.modulus
-    torsion = {d: teichmuller(ctx.integer(d)) for d in range(1, p)}
-    torsion_pow_s = {d: pow(t.value, spec.s, modulus) for d, t in torsion.items()}
-    torsion_inv = {d: inverse_unit(t).value for d, t in torsion.items()}
-    unit_power_cache: dict[int, int] = {}
+    powers = {1: 1}  # principal unit w -> w**a
+    for g in (modulus - 1, 5) if p == 2 else (1 + p,):
+        g %= modulus
+        g_a = pow_unit(ctx.integer(g), spec.a).value
+        # extend the walked subgroup by the cosets of <g>: each walk stops
+        # on returning to an element already present
+        for w, w_a in list(powers.items()):
+            w, w_a = w * g % modulus, w_a * g_a % modulus
+            while w not in powers:
+                powers[w] = w_a
+                w, w_a = w * g % modulus, w_a * g_a % modulus
     table = [0] * modulus
-    for x in range(1, modulus):
-        k = 0
-        u = x
-        while u % p == 0:
-            u //= p
-            k += 1
-        d = u % p
-        principal = u * torsion_inv[d] % modulus
-        powered = unit_power_cache.get(principal)
-        if powered is None:
-            powered = pow_unit(ctx.integer(principal), spec.a).value
-            unit_power_cache[principal] = powered
-        table[x] = (
-            pow(p, k, modulus)
-            * pow(spec.A.value, k, modulus)
-            * torsion_pow_s[d]
-            * powered
-            % modulus
-        )
+    for d in range(1, p):
+        theta = teichmuller(ctx.integer(d)).value
+        theta_s = pow(theta, spec.s, modulus)
+        for w, w_a in powers.items():
+            table[theta * w % modulus] = theta_s * w_a % modulus
+    for k in range(1, ctx.precision):
+        step = p**k
+        scale = pow(p * spec.A.value, k, modulus)
+        for v in range(1, modulus // step):
+            if v % p:
+                table[v * step] = scale * table[v] % modulus
     return LipschitzFn.from_table(
         ctx, table, provenance=f"mul(s={spec.s},a={spec.a.value},A={spec.A.value})"
     )
+
+
+def _xor_subfunctions(spec: XorSpec) -> list:
+    """Digit maps of a triangular digit-linear map.
+
+    Output digit k is row[k]*d plus the prefix's share sum row[i]*a_i
+    (i < k), which depends on the prefix only mod p: p maps per level.
+    """
+    p = spec.ctx.p
+    subfunctions = []
+    for k, row in enumerate(spec.alpha):
+        shares = [0]
+        for i in range(k):
+            shares = [(share + row[i] * d) % p for d in range(p) for share in shares]
+        maps = [tuple((share + row[k] * d) % p for d in range(p)) for share in range(p)]
+        subfunctions.append([maps[share] for share in shares])
+    return subfunctions
 
 
 def realize(spec: AutSpec) -> LipschitzFn:
@@ -313,30 +337,14 @@ def realize(spec: AutSpec) -> LipschitzFn:
     if isinstance(spec, MulSpec):
         return _realize_mul(spec)
     if isinstance(spec, XorSpec):
-        p = ctx.p
-        table = []
-        for x in range(ctx.modulus):
-            xd = ctx.digits_of(x)
-            value = 0
-            scale = 1
-            for row in spec.alpha:
-                digit = sum(c * xd[i] for i, c in enumerate(row)) % p
-                value += digit * scale
-                scale *= p
-            table.append(value)
-        return LipschitzFn.from_table(ctx, table, provenance="xor")
+        return LipschitzFn.from_subfunctions(ctx, _xor_subfunctions(spec), provenance="xor")
     if isinstance(spec, AndSpec):
         p = ctx.p
-        table = []
-        for x in range(ctx.modulus):
-            xd = ctx.digits_of(x)
-            value = 0
-            scale = 1
-            for k, e in enumerate(spec.exponents):
-                value += pow(xd[k], e, p) * scale
-                scale *= p
-            table.append(value)
-        return LipschitzFn.from_table(ctx, table, provenance="and")
+        subfunctions = [
+            [tuple(pow(d, e, p) for d in range(p))] * p**k
+            for k, e in enumerate(spec.exponents)
+        ]
+        return LipschitzFn.from_subfunctions(ctx, subfunctions, provenance="and")
     raise TypeError(f"not an automorphism spec: {spec!r}")
 
 

@@ -219,17 +219,19 @@ def model_fn(key: CipherKey, ctx: PrimeContext) -> LipschitzFn:
     """The map on Z/p**K induced by encrypting K-symbol words.
 
     Position-wise action makes it tower compatible, and permutations per
-    symbol make it invertible; both are revalidated by construction.
+    symbol make it invertible; both are revalidated by construction.  The
+    symbol map at position k is the digit map at level k for every prefix,
+    so the table is assembled by from_subfunctions in O(p**K).
     """
     if key.p != ctx.p:
         raise ValueError(f"alphabet mismatch: key {key.p}, context {ctx.p}")
     if not key.covers(ctx.precision):
         raise ValueError(f"key does not cover {ctx.precision} positions")
-    table = []
-    for x in range(ctx.modulus):
-        word = tau_inverse(x, ctx.precision, ctx.p)
-        table.append(tau(encrypt(word, key)))
-    return LipschitzFn.from_table(ctx, table, provenance=f"cipher:{key.kind}")
+    p = ctx.p
+    subfunctions = [
+        [tuple(key.symbol(k, s) for s in range(p))] * p**k for k in range(ctx.precision)
+    ]
+    return LipschitzFn.from_subfunctions(ctx, subfunctions, provenance=f"cipher:{key.kind}")
 
 
 # ---------------------------------------------------------------------------

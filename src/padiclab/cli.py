@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 
@@ -39,8 +38,10 @@ from .automorph import (
 from .oracle import (
     BudgetExceeded,
     DEFAULT_NODE_BUDGET,
+    OP_TO_FAMILY,
     compare_with_family,
     enumerate_automorphisms,
+    family_size,
     verify_trivial_pairs,
 )
 from . import cipher as cipher_mod
@@ -204,24 +205,6 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _euler_phi(n: int) -> int:
-    count = 0
-    for i in range(1, n + 1):
-        if math.gcd(i, n) == 1:
-            count += 1
-    return count
-
-
-def _formula_count(op: str, p: int, k: int) -> int:
-    if op == "plus":
-        return p**k - p ** (k - 1)
-    if op == "xor":
-        return (p - 1) ** k * p ** (k * (k - 1) // 2)
-    if op == "and":
-        return _euler_phi(p - 1) ** k
-    raise ValueError(op)
-
-
 def _criterion_equivalence_sample(p: int, k: int, seed: int, samples: int) -> dict:
     ctx = PrimeContext(p, k)
     rng = random.Random(seed)
@@ -264,7 +247,7 @@ def cmd_verify(args) -> int:
                 },
             }
         )
-        expected = _formula_count(op, p, k)
+        expected = family_size(ctx, OP_TO_FAMILY[op])
         claims.append(
             {
                 "name": f"count-formula-{op}",

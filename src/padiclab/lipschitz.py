@@ -35,6 +35,18 @@ class CompatibilityViolation(ValueError):
         self.level = level
 
 
+def _leading_digits(ctx: PrimeContext):
+    """Yield (block, lead) covering every argument x >= p in ascending order.
+
+    x = rest + lead with rest < block = p**n and lead = d * block, 1 <= d < p:
+    lead is the leading digit of x and rest is x with that digit dropped.
+    """
+    for n in range(1, ctx.precision):
+        block = ctx.p**n
+        for lead in range(block, block * ctx.p, block):
+            yield block, lead
+
+
 def _check_table_size(ctx: PrimeContext) -> None:
     if ctx.modulus > MAX_TABLE_SIZE:
         raise ValueError(
@@ -58,8 +70,13 @@ class LipschitzFn:
     ) -> "LipschitzFn":
         """Validate digit ranges and tower compatibility, then wrap the table.
 
-        The first violation in (level, canonical representative, argument)
-        order is raised as CompatibilityViolation.
+        Compatibility at every level holds iff f(x) = f(rest) mod p**n for
+        each x = rest + lead with lead = d*p**n its leading digit (by
+        induction on x, since rest < x agrees with x mod p**n), so one
+        O(p**K) pass decides it.  Only when that pass fails does the
+        O(K p**K) ordered scan run: the first violation by level, then by
+        argument, is raised as CompatibilityViolation naming the canonical
+        representative, the argument and the level.
         """
         _check_table_size(ctx)
         table = tuple(table)
@@ -68,12 +85,17 @@ class LipschitzFn:
         for x, v in enumerate(table):
             if not (0 <= v < ctx.modulus):
                 raise ValueError(f"table[{x}] = {v} outside [0, {ctx.modulus})")
-        for level in range(1, ctx.precision):
-            block = ctx.p**level
-            for x in range(block, ctx.modulus):
-                rep = x % block
-                if table[x] % block != table[rep] % block:
-                    raise CompatibilityViolation(rep, x, level)
+        if any(
+            (fx - frest) % block
+            for block, lead in _leading_digits(ctx)
+            for fx, frest in zip(table[lead : lead + block], table)
+        ):
+            for level in range(1, ctx.precision):
+                block = ctx.p**level
+                for x in range(block, ctx.modulus):
+                    rep = x % block
+                    if table[x] % block != table[rep] % block:
+                        raise CompatibilityViolation(rep, x, level)
         return cls(ctx, table, provenance)
 
     @classmethod
@@ -84,22 +106,17 @@ class LipschitzFn:
 
         ``subfunctions[k][a]`` gives the k-th output digit as a function of
         the k-th input digit once the k low digits equal the prefix a; any
-        such family yields a tower-compatible function.
+        such family yields a tower-compatible function.  The table is built
+        level by level, table[a + d*p**k] = table[a] + phi_{k,a}(d) * p**k
+        with table[a] the value on the k low digits, in O(p**K).
         """
         _check_table_size(ctx)
         p = ctx.p
-        table = []
-        for x in range(ctx.modulus):
-            value = 0
-            scale = 1
-            rest = x
-            for k in range(ctx.precision):
-                prefix = x % scale if k else 0
-                digit = rest % p
-                value += subfunctions[k][prefix][digit] * scale
-                rest //= p
-                scale *= p
-            table.append(value)
+        table = [0]
+        for k in range(ctx.precision):
+            block = p**k
+            level = subfunctions[k]
+            table = [v + phi[d] * block for d in range(p) for v, phi in zip(table, level)]
         return cls.from_table(ctx, table, provenance)
 
     def __call__(self, x: int) -> int:
@@ -179,18 +196,23 @@ class VdpSeries:
 
 
 def vdp_transform(f: LipschitzFn) -> VdpSeries:
-    """Coefficients B_m of f over the ball basis, exact mod p**K."""
+    """Coefficients B_m of f over the ball basis, exact mod p**K.
+
+    One O(p**K) pass: B_x = f(x) for x < p and B_x = f(x) - f(rest) for
+    x = rest + lead (lead the leading digit of x, at place n), checking in
+    the same loop that p**n divides B_x.  A source that is not tower
+    compatible fails that check, raising ValueError at the first such x.
+    """
     ctx = f.ctx
-    p = ctx.p
-    coeffs = list(f.table[:p])
-    for m in range(p, ctx.modulus):
-        n = _digit_length(p, m)
-        leading = (m // p ** (n - 1)) * p ** (n - 1)
-        coeffs.append((f.table[m] - f.table[m - leading]) % ctx.modulus)
-    series = VdpSeries(ctx, tuple(coeffs))
-    for m in range(p, ctx.modulus):
-        series.normalized(m)  # divisibility must hold for a compatible source
-    return series
+    table, modulus = f.table, ctx.modulus
+    coeffs = list(table[: ctx.p])
+    for block, lead in _leading_digits(ctx):
+        for rest in range(block):
+            b = (table[lead + rest] - table[rest]) % modulus
+            if b % block:
+                raise ValueError(f"coefficient {lead + rest} not divisible by {block}")
+            coeffs.append(b)
+    return VdpSeries(ctx, tuple(coeffs))
 
 
 def vdp_inverse(series: VdpSeries) -> LipschitzFn:
@@ -200,25 +222,18 @@ def vdp_inverse(series: VdpSeries) -> LipschitzFn:
     truncation m of x to n digits contributes when m has exactly n digits
     (every one-digit truncation counts, zero included -- the m = 0 indicator
     is the ball of 0 mod p, not the constant one, which is what makes
-    B_m = f(m) for m < p).  Compatibility of the result revalidates the
-    coefficient divisibility through from_table.
+    B_m = f(m) for m < p).  Those sums obey f(x) = f(rest) + B_x for
+    x = rest + lead, so the table is built in one O(p**K) pass.
+    Compatibility of the result revalidates the coefficient divisibility
+    through from_table.
     """
     ctx = series.ctx
-    if len(series.coefficients) != ctx.modulus:
-        raise ValueError(
-            f"need {ctx.modulus} coefficients, got {len(series.coefficients)}"
-        )
-    p = ctx.p
-    table = []
-    for x in range(ctx.modulus):
-        total = 0
-        block = 1
-        for n in range(1, ctx.precision + 1):
-            block *= p
-            m = x % block
-            if n == 1 or m >= block // p:
-                total += series.coefficients[m]
-        table.append(total % ctx.modulus)
+    coeffs, modulus = series.coefficients, ctx.modulus
+    if len(coeffs) != modulus:
+        raise ValueError(f"need {modulus} coefficients, got {len(coeffs)}")
+    table = [b % modulus for b in coeffs[: ctx.p]]
+    for block, lead in _leading_digits(ctx):
+        table += [(v + b) % modulus for v, b in zip(table[:block], coeffs[lead : lead + block])]
     return LipschitzFn.from_table(ctx, table, provenance="vdp_inverse")
 
 
@@ -249,17 +264,17 @@ def preserves_measure_vdp(f: LipschitzFn) -> CriterionReport:
     """
     ctx = f.ctx
     p = ctx.p
-    series = vdp_transform(f)
-    base = {series.normalized(m) % p for m in range(p)}
-    if base != set(range(p)):
+    coeffs = vdp_transform(f).coefficients
+    if {b % p for b in coeffs[:p]} != set(range(p)):
         return CriterionReport(
             ok=False, failure=(0, 0), detail="base coefficients not a complete residue system"
         )
+    nonzero = set(range(1, p))
     for k in range(1, ctx.precision):
         block = p**k
         for m in range(block):
-            siblings = {series.normalized(m + i * block) % p for i in range(1, p)}
-            if siblings != set(range(1, p)):
+            # b_x = B_x / p**k for the siblings x = m + i*p**k
+            if {b // block % p for b in coeffs[m + block : block * p : block]} != nonzero:
                 return CriterionReport(
                     ok=False,
                     failure=(k, m),
@@ -275,9 +290,6 @@ class SubfunctionTable:
     level: int
     prefix: int
     phi: tuple[int, ...]
-
-    def is_permutation(self) -> bool:
-        return sorted(self.phi) == list(range(len(self.phi)))
 
 
 def coordinate_subfunctions(f: LipschitzFn, k: int) -> list[SubfunctionTable]:
@@ -296,13 +308,16 @@ def coordinate_subfunctions(f: LipschitzFn, k: int) -> list[SubfunctionTable]:
 
 def preserves_measure_coord(f: LipschitzFn) -> CriterionReport:
     """Digit-level criterion: every sub-function permutes the digit alphabet."""
+    p = f.ctx.p
     for k in range(f.ctx.precision):
-        for sub in coordinate_subfunctions(f, k):
-            if not sub.is_permutation():
+        block = p**k
+        digits = [v // block % p for v in f.table[: block * p]]
+        for a in range(block):
+            if len(set(digits[a::block])) != p:
                 return CriterionReport(
                     ok=False,
-                    failure=(k, sub.prefix),
-                    detail=f"sub-function at level {k}, prefix {sub.prefix} is not a permutation",
+                    failure=(k, a),
+                    detail=f"sub-function at level {k}, prefix {a} is not a permutation",
                 )
     return CriterionReport(ok=True)
 

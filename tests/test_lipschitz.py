@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padiclab import (
     CompatibilityViolation,
@@ -39,6 +41,46 @@ def test_from_table_reports_first_violation():
     with pytest.raises(CompatibilityViolation) as err:
         LipschitzFn.from_table(ctx, [0, 2, 1, 3])
     assert (err.value.x, err.value.y, err.value.level) == (0, 2, 1)
+
+
+def naive_first_violation(ctx, table):
+    """Tower compatibility straight from its definition, at every level and
+    for every pair x = y mod p**level.  Levels are scanned in order, then
+    arguments y in ascending order; the first y with a violating partner
+    below it is named with its canonical representative, as from_table's
+    witness (representative, argument, level).  None when compatible."""
+    for level in range(1, ctx.precision + 1):
+        block = ctx.p**level
+        for y in range(ctx.modulus):
+            for x in range(y):
+                if x % block == y % block and table[x] % block != table[y] % block:
+                    return (y % block, y, level)
+    return None
+
+
+TOWER_GRID = [(2, 1), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_pass_tower_check_matches_naive_definition(data):
+    p, K = data.draw(st.sampled_from(TOWER_GRID), label="(p, K)")
+    ctx = PrimeContext(p, K)
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    table = list(random_lipschitz(ctx, random.Random(seed)).table)
+    for _ in range(data.draw(st.integers(0, 2), label="perturbed entries")):
+        x = data.draw(st.integers(0, ctx.modulus - 1), label="x")
+        table[x] = data.draw(st.integers(0, ctx.modulus - 1), label="value")
+    expected = naive_first_violation(ctx, table)
+    if expected is None:
+        assert LipschitzFn.from_table(ctx, table).table == tuple(table)
+        return
+    with pytest.raises(CompatibilityViolation) as err:
+        LipschitzFn.from_table(ctx, table)
+    assert (err.value.x, err.value.y, err.value.level) == expected
+    # an unvalidated table still fails the coefficient divisibility
+    with pytest.raises(ValueError):
+        vdp_transform(LipschitzFn(ctx, table))
 
 
 def test_single_level_imposes_nothing():
