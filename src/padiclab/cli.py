@@ -373,7 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
-        sp.add_argument("--json", action="store_true", help="JSON output (the default)")
         sp.add_argument("--pretty", action="store_true", help="human-readable output")
         sp.add_argument("--out", help="write output to this path instead of stdout")
 

@@ -1,13 +1,13 @@
 """Independent ground truth by exhaustive search.
 
 Automorphisms of the finite quotient ``Z/p**k`` (tower-compatible bijections
-that are homomorphisms for every requested operation) are enumerated by
-backtracking over digit permutations: first the units-digit permutation,
-then one permutation per (level, prefix) slot.  A partial assignment
-determines the map modulo p**(level+1) on the residues whose low digits are
-already fixed, so every pair constraint whose three participants are
-determined can be tested immediately; violated branches are cut without
-expanding the remaining slots.
+that are homomorphisms for every requested operation) are enumerated by a
+finite-model search in the style of SEM and Mace4: the map is extended one
+level at a time, from Z/p**j to Z/p**(j+1), by assigning one value at a time
+and propagating the values the operations force, ``f(x op y) := f(x) op
+f(y)``.  A forced value that is already taken, does not lift the level
+below, or contradicts an earlier value cuts the branch.  The search effort
+(``nodes``) is the number of value assignments, branched or forced.
 
 The enumerated sets are compared against the realized parametric families.
 Any disagreement is reported with witnesses -- at finite precision the
@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .core import PrimeContext
+from .lipschitz import MAX_TABLE_SIZE
 from .automorph import (
     AddSpec,
     AndSpec,
@@ -38,12 +39,23 @@ OP_TO_FAMILY = {"plus": "add", "times": "mul", "xor": "xor", "and": "and"}
 
 
 class BudgetExceeded(RuntimeError):
-    """The backtracking search hit its node limit before finishing."""
+    """The search hit its node limit before finishing.
 
-    def __init__(self, nodes: int, budget: int):
-        super().__init__(f"search expanded {nodes} nodes, budget {budget}")
+    Besides the node count and the budget it reports the progress made:
+    ``level`` is the precision the search was working on when it stopped
+    (it was extending maps to Z/p**level) and ``found`` counts the complete
+    maps found so far.
+    """
+
+    def __init__(self, nodes: int, budget: int, level: int, found: int):
+        super().__init__(
+            f"search expanded {nodes} nodes, budget {budget}; stopped at level "
+            f"{level} (maps mod p**{level}) with {found} complete maps found"
+        )
         self.nodes = nodes
         self.budget = budget
+        self.level = level
+        self.found = found
 
 
 @dataclass(frozen=True)
@@ -83,72 +95,113 @@ def enumerate_automorphisms(
 ) -> EnumerationResult:
     """Exhaustively enumerate the automorphisms of Z/p**k for the given ops.
 
+    The map is built level by level: a map ``g`` on Z/p**j is extended to
+    ``h`` on Z/p**(j+1) one value at a time, every ``h(x)`` an unused lift
+    ``g(x mod p**j) + d*p**j``.  The search branches on the smallest
+    unassigned argument.  After each assignment ``h(a) = v`` it forces
+    ``h(a op b) := v op h(b)`` (and ``h(b op a)`` for a non-commutative
+    table) for every assigned ``b``; a forced value that is already taken,
+    is not a lift, or differs from the value already there cuts the branch.
+    ``nodes`` counts value assignments, branched or forced.
+
     Exact and complete within the node budget; raises BudgetExceeded rather
-    than returning a truncated answer.
+    than returning a truncated answer.  Raises ValueError, before any table
+    is built, when one operation table of (p**k)**2 entries would exceed
+    ``MAX_TABLE_SIZE``.
     """
-    operations = _resolve_ops(ops)
     p, k = ctx.p, ctx.precision
-    perms = list(itertools.permutations(range(p)))
-    levels = [PrimeContext(p, j + 1) for j in range(k)]
+    if ctx.modulus**2 > MAX_TABLE_SIZE:
+        raise ValueError(
+            f"operation tables of {ctx.modulus}**2 entries exceed the "
+            f"desk-scale cap {MAX_TABLE_SIZE}"
+        )
+    operations = _resolve_ops(ops)
 
-    # flat operation tables per level: value of x op y mod p**(j+1)
-    op_tables: list[list[list[int]]] = []
-    # per (level, prefix, op): constraint triples (x, y, z) that first become
-    # fully determined when the slot (level, prefix) is assigned
-    triples: list[list[list[list[tuple[int, int, int]]]]] = []
-    for j, level_ctx in enumerate(levels):
-        size = level_ctx.modulus
-        block = p**j
-        level_ops = []
-        level_triples = [[[] for _ in operations] for _ in range(block)]
-        for oi, op in enumerate(operations):
-            flat = [0] * (size * size)
-            for x in range(size):
-                base = x * size
-                for y in range(size):
-                    z = op.apply(level_ctx, x, y)
-                    flat[base + y] = z
-                    slot = max(x % block, y % block, z % block)
-                    level_triples[slot][oi].append((x, y, z))
-            level_ops.append(flat)
-        op_tables.append(level_ops)
-        triples.append(level_triples)
+    # per level j: the flat table of x op y mod p**(j+1) for each op, and
+    # its transpose (y op x) too when the op is not commutative, so that
+    # checking (a, b) in every table covers b op a as well
+    level_tables: list[list[list[int]]] = []
+    for j in range(k):
+        level_ctx = PrimeContext(p, j + 1)
+        n = level_ctx.modulus
+        tables = []
+        for op in operations:
+            flat = [op.apply(level_ctx, x, y) for x in range(n) for y in range(n)]
+            transpose = [flat[y * n + x] for x in range(n) for y in range(n)]
+            tables.append(flat)
+            if transpose != flat:
+                tables.append(transpose)
+        level_tables.append(tables)
 
-    slots = [(j, a) for j in range(k) for a in range(p**j)]
-    values = [[0] * (p ** (j + 1)) for j in range(k)]
     found: list[tuple[int, ...]] = []
     nodes = 0
 
-    def descend(slot_index: int) -> None:
-        nonlocal nodes
-        if slot_index == len(slots):
-            found.append(tuple(values[k - 1]))
-            return
-        j, a = slots[slot_index]
+    def extend(j: int, g: list[int]) -> None:
+        """Enumerate every extension of the map g on Z/p**j to Z/p**(j+1)."""
+        n = p ** (j + 1)
         block = p**j
-        size = p ** (j + 1)
-        level_values = values[j]
-        base = values[j - 1][a] if j else 0
-        slot_triples = triples[j][a]
-        level_ops = op_tables[j]
-        for perm in perms:
+        tables = level_tables[j]
+        low = [g[x % block] for x in range(n)]  # h(x) = low[x] mod p**j
+        h = [-1] * n
+        inv = [-1] * n
+        trail: list[int] = []  # assigned arguments in order, also the queue
+
+        def put(z: int, w: int) -> None:
+            nonlocal nodes
             nodes += 1
             if nodes > node_budget:
-                raise BudgetExceeded(nodes, node_budget)
-            for d in range(p):
-                level_values[a + d * block] = base + perm[d] * block
-            ok = True
-            for oi, op_flat in enumerate(level_ops):
-                for x, y, z in slot_triples[oi]:
-                    if level_values[z] != op_flat[level_values[x] * size + level_values[y]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                descend(slot_index + 1)
+                raise BudgetExceeded(nodes, node_budget, j + 1, len(found))
+            h[z] = w
+            inv[w] = z
+            trail.append(z)
 
-    descend(0)
+        def propagate(qi: int) -> bool:
+            """Force the consequences of trail[qi:]; False on a conflict."""
+            while qi < len(trail):
+                a = trail[qi]
+                qi += 1
+                v = h[a]
+                ra = a * n
+                rv = v * n
+                # each pair is checked once: when its later member leaves the queue
+                for flat in tables:
+                    for b in trail[:qi]:
+                        z = flat[ra + b]
+                        w = flat[rv + h[b]]
+                        if h[z] != w:
+                            if h[z] >= 0 or inv[w] >= 0 or w % block != low[z]:
+                                return False
+                            put(z, w)
+            return True
+
+        stack = [[0, 0, 0]]  # per branch point: [argument, trail mark, next digit]
+        while stack:
+            frame = stack[-1]
+            x, mark, d = frame
+            for z in trail[mark:]:
+                inv[h[z]] = -1
+                h[z] = -1
+            del trail[mark:]
+            base = low[x]
+            while d < p and inv[base + d * block] >= 0:
+                d += 1
+            if d == p:
+                stack.pop()
+                continue
+            frame[2] = d + 1
+            put(x, base + d * block)
+            if not propagate(mark):
+                continue
+            while x < n and h[x] >= 0:
+                x += 1
+            if x < n:
+                stack.append([x, len(trail), 0])
+            elif j + 1 < k:
+                extend(j + 1, h)
+            else:
+                found.append(tuple(h))
+
+    extend(0, [0])
     names = tuple(op.name for op in operations)
     return EnumerationResult(p, k, names, tuple(sorted(found)), nodes)
 

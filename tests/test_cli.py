@@ -149,6 +149,27 @@ def test_enumerate_budget_exit_code(capsys):
     assert code == 3
 
 
+def test_enumerate_budget_error_is_one_line(capsys):
+    code = main(["enumerate", "--p", "5", "--k", "2", "--ops", "plus", "--budget", "200"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.splitlines() == [
+        "error: search expanded 201 nodes, budget 200; stopped at level 2 "
+        "(maps mod p**2) with 7 complete maps found"
+    ]
+
+
+def test_enumerate_oversized_is_validation_error(capsys):
+    # each op table would hold 65521**4 entries; the size guard fires first
+    code = main(["enumerate", "--p", "65521", "--k", "2", "--ops", "plus"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_verify_claims_structure(capsys):
     code, out = run_cli(capsys, "verify", "--p", "2", "--k", "2", "--seed", "7")
     data = json.loads(out)

@@ -13,6 +13,11 @@ from padiclab import (
     operation_by_name,
     verify_trivial_pairs,
 )
+from padiclab.automorph import Operation
+from padiclab.oracle import OPERATION_PAIRS
+
+# the four single operations and the six pairs
+OP_SETS = [["plus"], ["xor"], ["and"], ["times"]] + [list(pair) for pair in OPERATION_PAIRS]
 
 
 def naive_enumeration(p, k, op_names):
@@ -40,11 +45,99 @@ def naive_enumeration(p, k, op_names):
     return sorted(out)
 
 
-@pytest.mark.parametrize("ops", [["plus"], ["xor"], ["times"], ["plus", "xor"]])
+def permutation_enumeration(p, k, ops):
+    """Reference search: branch over whole digit permutations per slot.
+
+    The units-digit permutation first, then one permutation per (level,
+    prefix) slot; each op constraint is tested once the slot that completes
+    its triple is filled.
+    """
+    operations = [op if isinstance(op, Operation) else operation_by_name(op) for op in ops]
+    perms = list(itertools.permutations(range(p)))
+    op_tables = []
+    triples = []
+    for j in range(k):
+        level_ctx = PrimeContext(p, j + 1)
+        size = level_ctx.modulus
+        block = p**j
+        level_ops = []
+        level_triples = [[[] for _ in operations] for _ in range(block)]
+        for oi, op in enumerate(operations):
+            flat = [0] * (size * size)
+            for x in range(size):
+                for y in range(size):
+                    z = op.apply(level_ctx, x, y)
+                    flat[x * size + y] = z
+                    slot = max(x % block, y % block, z % block)
+                    level_triples[slot][oi].append((x, y, z))
+            level_ops.append(flat)
+        op_tables.append(level_ops)
+        triples.append(level_triples)
+
+    slots = [(j, a) for j in range(k) for a in range(p**j)]
+    values = [[0] * (p ** (j + 1)) for j in range(k)]
+    found = []
+
+    def descend(slot_index):
+        if slot_index == len(slots):
+            found.append(tuple(values[k - 1]))
+            return
+        j, a = slots[slot_index]
+        block = p**j
+        size = p ** (j + 1)
+        level_values = values[j]
+        base = values[j - 1][a] if j else 0
+        for perm in perms:
+            for d in range(p):
+                level_values[a + d * block] = base + perm[d] * block
+            if all(
+                level_values[z] == op_flat[level_values[x] * size + level_values[y]]
+                for op_flat, op_triples in zip(op_tables[j], triples[j][a])
+                for x, y, z in op_triples
+            ):
+                descend(slot_index + 1)
+
+    descend(0)
+    return sorted(found)
+
+
+# the first four keep their historical ids ops0..ops3
+@pytest.mark.parametrize(
+    "ops",
+    [["plus"], ["xor"], ["times"], ["plus", "xor"], ["and"]]
+    + [list(pair) for pair in OPERATION_PAIRS if pair != ("plus", "xor")],
+)
 def test_backtracking_matches_naive_filter(ops):
     ctx = PrimeContext(2, 3)
     result = enumerate_automorphisms(ctx, ops)
     assert list(result.automorphisms) == naive_enumeration(2, 3, ops)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+def test_search_matches_permutation_reference(p, k):
+    ctx = PrimeContext(p, k)
+    for ops in OP_SETS:
+        result = enumerate_automorphisms(ctx, ops)
+        assert list(result.automorphisms) == permutation_enumeration(p, k, ops), ops
+
+
+# x op y = x**2 * y is not commutative, so y op x must be forced as well
+SKEW = Operation("skew", lambda ctx, x, y: x * x * y % ctx.modulus)
+# x op y = x + y + k mod p**k does not reduce from one level to the next,
+# so a forced value can fail to lift the level below
+DRIFT = Operation("drift", lambda ctx, x, y: (x + y + ctx.precision) % ctx.modulus)
+
+
+# the reference is slow on drift at (5,2): its permutations rarely fail early
+@pytest.mark.parametrize(
+    "p,k,op",
+    [(3, 2, SKEW), (5, 2, SKEW), (2, 3, SKEW), (3, 2, DRIFT), (2, 3, DRIFT)],
+    ids=lambda value: getattr(value, "name", value),
+)
+def test_custom_ops_match_permutation_reference(p, k, op):
+    for ops in ([op], [op, "xor"]):
+        result = enumerate_automorphisms(PrimeContext(p, k), ops)
+        assert list(result.automorphisms) == permutation_enumeration(p, k, ops)
 
 
 def test_enumeration_counts_examples():
@@ -88,6 +181,20 @@ def test_monotonicity_under_reduction():
 def test_budget_exceeded_is_raised_not_truncated():
     with pytest.raises(BudgetExceeded):
         enumerate_automorphisms(PrimeContext(5, 2), ["plus"], node_budget=10)
+
+
+def test_budget_exceeded_reports_progress():
+    # 200 assignments: the Z/5 maps x -> x and x -> 2x are extended to
+    # Z/25; the first gives its 5 lifts, the second 2 of them before the cut
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_automorphisms(PrimeContext(5, 2), ["plus"], node_budget=200)
+    exc = info.value
+    assert (exc.nodes, exc.budget, exc.level, exc.found) == (201, 200, 2, 7)
+    # 3 assignments: h(0) = 0, then h(1) = 1 forces h(2) = 2 and is cut
+    # before h(3), still on Z/5
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_automorphisms(PrimeContext(5, 2), ["plus"], node_budget=3)
+    assert (info.value.nodes, info.value.level, info.value.found) == (4, 1, 0)
 
 
 def test_compare_plus_family():
@@ -185,3 +292,24 @@ def test_enumeration_result_json():
     assert data["p"] == 3 and data["k"] == 2 and data["count"] == 6
     assert data["ops"] == ["plus"]
     assert len(data["automorphisms"]) == 6
+
+
+def test_all_op_sets_finish_at_p7():
+    # each search runs under DEFAULT_NODE_BUDGET and would raise past it
+    ctx = PrimeContext(7, 2)
+    results = {"+".join(ops): enumerate_automorphisms(ctx, ops) for ops in OP_SETS}
+    for op, expected in {"plus": 42, "xor": 252, "and": 4, "times": 72}.items():
+        comparison = compare_with_family(results[op])
+        assert comparison.equal and comparison.enumerated_count == expected, op
+    # only the carry-free pair keeps its p scalings A = 1 mod p
+    for pair in OPERATION_PAIRS:
+        assert results["+".join(pair)].count == (7 if pair == ("plus", "xor") else 1), pair
+
+
+def test_times_comparison_finds_quotient_extras_at_2_6():
+    # the multiplicative extras of (2,3) persist: mod 64 half the maps
+    # are outside the family, and every family table is found
+    comparison = compare_with_family(enumerate_automorphisms(PrimeContext(2, 6), ["times"]))
+    assert (comparison.enumerated_count, comparison.family_count) == (256, 128)
+    assert len(comparison.missing) == 0
+    assert len(comparison.extra) == 128
