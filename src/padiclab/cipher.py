@@ -197,19 +197,20 @@ def key_from_json(data: dict) -> CipherKey:
     raise ValueError(f"unknown key kind {kind!r}")
 
 
-def encrypt(word: Word, key: CipherKey) -> Word:
+def _check_key(word: Word, key: CipherKey) -> None:
     if word.p != key.p:
         raise ValueError(f"alphabet mismatch: word {word.p}, key {key.p}")
     if not key.covers(len(word)):
-        raise ValueError(f"key covers {key} positions short of word length {len(word)}")
+        raise ValueError(f"{key.kind} key does not cover {len(word)} positions")
+
+
+def encrypt(word: Word, key: CipherKey) -> Word:
+    _check_key(word, key)
     return Word(word.p, tuple(key.symbol(i, s) for i, s in enumerate(word.symbols)))
 
 
 def decrypt(word: Word, key: CipherKey) -> Word:
-    if word.p != key.p:
-        raise ValueError(f"alphabet mismatch: word {word.p}, key {key.p}")
-    if not key.covers(len(word)):
-        raise ValueError(f"key covers {key} positions short of word length {len(word)}")
+    _check_key(word, key)
     return Word(
         word.p, tuple(key.inverse_symbol(i, s) for i, s in enumerate(word.symbols))
     )

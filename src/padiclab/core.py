@@ -1,13 +1,15 @@
 """Exact arithmetic on p-adic integers truncated to a fixed precision.
 
-A value is the canonical residue in [0, p**K) together with its K base-p
-digits (little-endian, ``digits[0]`` is the units digit).  Every operation
-is exact modulo p**K; nothing is floating or adaptive.  Besides the ring
-operations the module provides the carry-free digit-wise operations
-(addition and multiplication of digits mod p), Teichmueller lifts,
-the decomposition of a nonzero value into p-power, torsion and principal
-unit parts, and truncated-series exponential / logarithm / power maps on
-principal units.
+A value is the canonical residue in [0, p**K); its K base-p digits
+(little-endian, ``digits[0]`` is the units digit) are derived from it on
+demand.  Every operation is exact modulo p**K; nothing is floating or
+adaptive.  Besides the ring operations the module provides the carry-free
+digit-wise operations (addition and multiplication of digits mod p),
+Teichmueller lifts, the decomposition of a nonzero value into p-power,
+torsion and principal unit parts, and the truncated-series exponential and
+logarithm.  Powers of principal units with p-adic exponents are builtin
+``pow``: mod p**K the principal units form a group of order p**(K-1), so
+u**a depends only on a mod p**(K-1) and pow(u, a mod p**K, p**K) is exact.
 """
 
 from __future__ import annotations
@@ -149,12 +151,16 @@ class PrimeContext:
 class PadicInt:
     """Immutable p-adic integer known exactly modulo p**K."""
 
-    __slots__ = ("ctx", "value", "digits")
+    __slots__ = ("ctx", "value")
 
     def __init__(self, ctx: PrimeContext, value: int):
         self.ctx = ctx
         self.value = value % ctx.modulus
-        self.digits = ctx.digits_of(self.value)
+
+    @property
+    def digits(self) -> tuple[int, ...]:
+        """The K little-endian base-p digits of the residue."""
+        return self.ctx.digits_of(self.value)
 
     def _coerce(self, other) -> "PadicInt":
         if isinstance(other, PadicInt):
@@ -329,7 +335,7 @@ def unit_decompose(x: PadicInt) -> UnitDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# truncated-series kernel: exp / ln / powers of principal units
+# truncated-series kernel: exp / ln; powers of principal units
 # ---------------------------------------------------------------------------
 
 
@@ -405,36 +411,13 @@ def ln_p(x: PadicInt) -> PadicInt:
     return PadicInt(ctx, acc)
 
 
-def _pow_unit_binomial(x: PadicInt, exponent_value: int) -> int:
-    # sum C(a, n) z**n with z = x - 1; C(a, n) is a p-adic integer, so the
-    # n-th term has valuation >= n*v(z) and the tail past K/v(z) vanishes.
-    ctx = x.ctx
-    z = x.value - 1
-    if z == 0:
-        return 1
-    v = ctx.valuation_of(z)
-    acc = 1
-    numerator = 1  # a(a-1)...(a-n+1) mod p**K
-    z_pow = 1
-    factorial = 1
-    n = 1
-    while (n - 1) * v < ctx.precision:
-        numerator = numerator * (exponent_value - (n - 1)) % ctx.modulus
-        z_pow *= z
-        factorial *= n
-        acc = (acc + _fraction_mod(numerator * z_pow, factorial, ctx.p, ctx.modulus)) % ctx.modulus
-        n += 1
-    return acc
-
-
 def pow_unit(x: PadicInt, exponent: "PadicInt | int") -> PadicInt:
     """(1 + pt)**a for a p-adic (or plain integer) exponent a.
 
-    Requires x = 1 mod p.  Computed by the binomial series, which converges
-    on all principal units including 1+2t with t odd at p = 2.  Where the
-    exp/ln route is also defined (odd p, or x = 1 mod 4 at p = 2) the two
-    routes are compared and must agree; plain nonnegative integer exponents
-    are additionally checked against square-and-multiply.
+    Requires x = 1 mod p.  Mod p**K the principal units form a group of
+    order p**(K-1), so the power depends only on a mod p**(K-1) and builtin
+    pow on the residues is exact, on every principal unit (1+2t with t odd
+    at p = 2 included) and for negative plain exponents too, x being a unit.
     """
     ctx = x.ctx
     if (x.value - 1) % ctx.p != 0:
@@ -442,24 +425,5 @@ def pow_unit(x: PadicInt, exponent: "PadicInt | int") -> PadicInt:
     if isinstance(exponent, PadicInt):
         if exponent.ctx != ctx:
             raise ContextMismatch(f"{ctx} vs {exponent.ctx}")
-        exponent_value = exponent.value
-        plain_integer = False
-    else:
-        exponent_value = exponent
-        plain_integer = True
-    result = _pow_unit_binomial(x, exponent_value)
-    if ctx.p != 2 or x.value % 4 == 1:
-        via_exp = exp_p(ctx.integer(exponent_value) * ln_p(x)).value
-        if via_exp != result:
-            raise AssertionError(
-                f"binomial and exp/ln powers disagree: {result} vs {via_exp} "
-                f"for base {x.value}, exponent {exponent_value}, {ctx}"
-            )
-    if plain_integer and exponent >= 0:
-        direct = pow(x.value, exponent, ctx.modulus)
-        if direct != result:
-            raise AssertionError(
-                f"binomial power disagrees with square-and-multiply: "
-                f"{result} vs {direct} for base {x.value}, exponent {exponent}"
-            )
-    return PadicInt(ctx, result)
+        exponent = exponent.value
+    return PadicInt(ctx, pow(x.value, exponent, ctx.modulus))

@@ -134,20 +134,12 @@ class LipschitzFn:
         tag = f", provenance={self.provenance!r}" if self.provenance else ""
         return f"LipschitzFn(p={self.ctx.p}, K={self.ctx.precision}{tag})"
 
-    def table_mod(self, k: int) -> tuple[int, ...]:
-        """Value table of the reduction mod p**k on [0, p**k)."""
-        block = self.ctx.p**k
-        return tuple(v % block for v in self.table[:block])
-
 
 def compose(f: LipschitzFn, g: LipschitzFn) -> LipschitzFn:
     """x -> f(g(x)); compositions of tower-compatible maps stay compatible."""
     if f.ctx != g.ctx:
         raise ValueError(f"context mismatch: {f.ctx} vs {g.ctx}")
-    table = tuple(f.table[v] for v in g.table)
-    if __debug__:
-        LipschitzFn.from_table(f.ctx, table)
-    return LipschitzFn(f.ctx, table, provenance="compose")
+    return LipschitzFn(f.ctx, (f.table[v] for v in g.table), provenance="compose")
 
 
 # ---------------------------------------------------------------------------

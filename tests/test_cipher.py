@@ -118,6 +118,17 @@ def test_key_validation():
         encrypt(Word(3, (1,)), KeystreamKey(5, (1,)))  # alphabet mismatch
 
 
+def test_short_key_error_names_kind_and_length():
+    # the message must not spell out the key: at p = 65521 that is millions of characters
+    p = 65521
+    key = SubstitutionStreamKey(p, (tuple(range(p)),) * 4)
+    word = Word(p, (1, 2, 3, 4, 5))
+    for fn in (encrypt, decrypt):
+        with pytest.raises(ValueError) as info:
+            fn(word, key)
+        assert str(info.value) == "subst_stream key does not cover 5 positions"
+
+
 def test_decrypt_inverts_encrypt():
     rng = random.Random(12)
     for kind in KINDS:

@@ -1,6 +1,7 @@
 """Tests for exact residue arithmetic, digit operations, and the analytic kernel."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,33 @@ from padiclab import (
     teichmuller,
     unit_decompose,
 )
+from padiclab.core import _fraction_mod
+
+
+def pow_unit_binomial(x, exponent_value: int) -> int:
+    """Reference power of a principal unit: the binomial series for (1+z)**a.
+
+    Independent of builtin pow: it never uses the order of the unit group.
+    """
+    # sum C(a, n) z**n with z = x - 1; C(a, n) is a p-adic integer, so the
+    # n-th term has valuation >= n*v(z) and the tail past K/v(z) vanishes.
+    ctx = x.ctx
+    z = x.value - 1
+    if z == 0:
+        return 1
+    v = ctx.valuation_of(z)
+    acc = 1
+    numerator = 1  # a(a-1)...(a-n+1) mod p**K
+    z_pow = 1
+    factorial = 1
+    n = 1
+    while (n - 1) * v < ctx.precision:
+        numerator = numerator * (exponent_value - (n - 1)) % ctx.modulus
+        z_pow *= z
+        factorial *= n
+        acc = (acc + _fraction_mod(numerator * z_pow, factorial, ctx.p, ctx.modulus)) % ctx.modulus
+        n += 1
+    return acc
 
 
 def test_context_rejects_composite():
@@ -59,6 +87,14 @@ def test_digits_roundtrip(data):
     x = ctx.from_digits(digits)
     assert ctx.from_digits(x.digits) == x
     assert len(x.digits) == k
+
+
+def test_padicint_stores_only_its_residue():
+    x = PrimeContext(5, 3).integer(107)
+    assert not hasattr(x, "__dict__")
+    assert x.digits == (2, 1, 4)
+    with pytest.raises(AttributeError):
+        x.digits = (0, 0, 0)
 
 
 def test_arithmetic_examples():
@@ -275,12 +311,48 @@ def test_pow_unit_exponent_addition():
 
 
 def test_pow_unit_covers_odd_principal_units_at_p2():
-    # x = 3 mod 4 has no exp/ln route; the binomial series still works and
-    # must match square-and-multiply on plain integer exponents
+    # x = 3 mod 4 has no exp/ln route; the binomial series still covers it
     ctx = PrimeContext(2, 5)
     for x in range(3, ctx.modulus, 4):
         for a in [0, 1, 2, 3, 7]:
-            assert pow_unit(ctx.integer(x), a).value == pow(x, a, ctx.modulus)
+            assert pow_unit(ctx.integer(x), a).value == pow_unit_binomial(ctx.integer(x), a)
+
+
+POW_GRID = [(2, 1), (2, 5), (2, 8), (3, 1), (3, 4), (5, 3), (7, 2), (65521, 2)]
+
+
+def _pow_grid_inputs(ctx: PrimeContext):
+    """Principal units and exponents: exhaustive up to 256 residues, else sampled."""
+    p, m = ctx.p, ctx.modulus
+    rng = random.Random(m)
+    if m <= 256:
+        units = range(1, m, p)
+        residues = range(m)
+    else:
+        units = [1, 1 + p, m - p + 1] + [1 + p * rng.randrange(m // p) for _ in range(40)]
+        residues = [0, 1, p, m - 1] + [rng.randrange(m) for _ in range(40)]
+    exponents = [ctx.integer(a) for a in residues]
+    exponents += list(range(8))  # plain
+    exponents += [-1, -2, -3, -p, -m - 1]  # negative plain
+    exponents += [m, m + 1, 2 * m + 3, m * m + p + 5]  # plain, at least p**K
+    for x in units:
+        for a in exponents:
+            yield ctx.integer(x), a
+
+
+@pytest.mark.parametrize("p,k", POW_GRID)
+def test_pow_unit_matches_binomial_and_exp_ln_routes(p, k):
+    # builtin pow against the binomial series everywhere (x = 3 mod 4 at
+    # p = 2 included) and against exp(a ln x) wherever ln is defined
+    ctx = PrimeContext(p, k)
+    via_exp = 0
+    for x, a in _pow_grid_inputs(ctx):
+        power = pow_unit(x, a)
+        assert power.value == pow_unit_binomial(x, int(a)), (x, a)
+        if p != 2 or x.value % 4 == 1:
+            assert power == exp_p(a * ln_p(x)), (x, a)
+            via_exp += 1
+    assert via_exp > 0
 
 
 def test_pow_unit_rejects_non_principal():

@@ -229,8 +229,16 @@ def test_compose_preserves_invertibility():
         f = random_measure_preserving(ctx, rng)
         g = random_measure_preserving(ctx, rng)
         h = compose(f, g)
+        assert LipschitzFn.from_table(ctx, h.table) == h
         assert preserves_measure_coord(h).ok
         assert preserves_measure_vdp(h).ok
+    # compose does not revalidate: composites of arbitrary tower-compatible
+    # maps must pass from_table's compatibility check
+    for p, K in [(2, 4), (3, 3), (5, 2)]:
+        ctx = PrimeContext(p, K)
+        for _ in range(20):
+            h = compose(random_lipschitz(ctx, rng), random_lipschitz(ctx, rng))
+            assert LipschitzFn.from_table(ctx, h.table) == h
 
 
 def test_criteria_agree_on_random_sample():
