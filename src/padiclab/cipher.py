@@ -220,9 +220,9 @@ def model_fn(key: CipherKey, ctx: PrimeContext) -> LipschitzFn:
     """The map on Z/p**K induced by encrypting K-symbol words.
 
     Position-wise action makes it tower compatible, and permutations per
-    symbol make it invertible; both are revalidated by construction.  The
-    symbol map at position k is the digit map at level k for every prefix,
-    so the table is assembled by from_subfunctions in O(p**K).
+    symbol make it invertible.  The symbol map at position k is the digit
+    map at level k for every prefix, so the table is assembled by
+    from_subfunctions in O(p**K), which checks only its length and range.
     """
     if key.p != ctx.p:
         raise ValueError(f"alphabet mismatch: key {key.p}, context {ctx.p}")

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+MAX_PRECISION = 32
+
 
 class ContextMismatch(ValueError):
     """Operands belong to different (p, precision) contexts."""
@@ -45,15 +47,13 @@ class PrimeContext:
 
     __slots__ = ("p", "precision", "modulus")
 
-    def __init__(self, p: int, precision: int, *, max_precision: int = 32):
+    def __init__(self, p: int, precision: int):
         if not (2 <= p < 2**16):
             raise ValueError(f"p must satisfy 2 <= p < 2**16, got {p}")
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
-        if not (1 <= precision <= max_precision):
-            raise ValueError(
-                f"precision must be in [1, {max_precision}], got {precision}"
-            )
+        if not (1 <= precision <= MAX_PRECISION):
+            raise ValueError(f"precision must be in [1, {MAX_PRECISION}], got {precision}")
         self.p = p
         self.precision = precision
         self.modulus = p**precision

@@ -20,6 +20,8 @@ from .core import PrimeContext
 
 # value tables are materialized in full; anything larger is out of scope
 MAX_TABLE_SIZE = 2**24
+# iter_all_lipschitz refuses to yield more functions than this
+ENUMERATION_LIMIT = 10**6
 
 
 class CompatibilityViolation(ValueError):
@@ -102,12 +104,13 @@ class LipschitzFn:
     def from_subfunctions(
         cls, ctx: PrimeContext, subfunctions, provenance: str | None = None
     ) -> "LipschitzFn":
-        """Assemble a table from digit maps.
+        """Assemble a table from digit maps, checking only its length and range.
 
         ``subfunctions[k][a]`` gives the k-th output digit as a function of
-        the k-th input digit once the k low digits equal the prefix a; any
-        such family yields a tower-compatible function.  The table is built
-        level by level, table[a + d*p**k] = table[a] + phi_{k,a}(d) * p**k
+        the k-th input digit once the k low digits equal the prefix a.  For
+        any integer digit maps f(x) mod p**j depends only on x mod p**j, so
+        the result is tower compatible and needs no tower pass.  The table is
+        built level by level, table[a + d*p**k] = table[a] + phi_{k,a}(d) * p**k
         with table[a] the value on the k low digits, in O(p**K).
         """
         _check_table_size(ctx)
@@ -117,7 +120,11 @@ class LipschitzFn:
             block = p**k
             level = subfunctions[k]
             table = [v + phi[d] * block for d in range(p) for v, phi in zip(table, level)]
-        return cls.from_table(ctx, table, provenance)
+        if len(table) != ctx.modulus:
+            raise ValueError(f"table length {len(table)}, expected {ctx.modulus}")
+        if not (0 <= min(table) and max(table) < ctx.modulus):
+            raise ValueError(f"digit maps give values outside [0, {ctx.modulus})")
+        return cls(ctx, table, provenance)
 
     def __call__(self, x: int) -> int:
         return self.table[x % self.ctx.modulus]
@@ -327,50 +334,39 @@ def is_bijective_mod(f: LipschitzFn, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _subfunction_slots(ctx: PrimeContext):
-    return [(k, a) for k in range(ctx.precision) for a in range(ctx.p**k)]
-
-
-def _assemble(ctx: PrimeContext, choice: dict, provenance: str) -> LipschitzFn:
-    subs = [
-        [choice[(k, a)] for a in range(ctx.p**k)] for k in range(ctx.precision)
-    ]
-    return LipschitzFn.from_subfunctions(ctx, subs, provenance)
-
-
 def random_lipschitz(ctx: PrimeContext, rng) -> LipschitzFn:
     """Uniform tower-compatible function: independent random digit maps."""
-    choice = {
-        slot: tuple(rng.randrange(ctx.p) for _ in range(ctx.p))
-        for slot in _subfunction_slots(ctx)
-    }
-    return _assemble(ctx, choice, "random_lipschitz")
+    p = ctx.p
+    subfunctions = [
+        [tuple(rng.randrange(p) for _ in range(p)) for _ in range(p**k)]
+        for k in range(ctx.precision)
+    ]
+    return LipschitzFn.from_subfunctions(ctx, subfunctions, "random_lipschitz")
 
 
 def random_measure_preserving(ctx: PrimeContext, rng) -> LipschitzFn:
     """Uniform invertible tower-compatible function: independent random digit permutations."""
-    choice = {}
-    for slot in _subfunction_slots(ctx):
-        perm = list(range(ctx.p))
-        rng.shuffle(perm)
-        choice[slot] = tuple(perm)
-    return _assemble(ctx, choice, "random_measure_preserving")
+    subfunctions = [[list(range(ctx.p)) for _ in range(ctx.p**k)] for k in range(ctx.precision)]
+    for level in subfunctions:
+        for perm in level:
+            rng.shuffle(perm)
+    return LipschitzFn.from_subfunctions(ctx, subfunctions, "random_measure_preserving")
 
 
-def iter_all_lipschitz(ctx: PrimeContext, *, limit: int = 10**6):
+def iter_all_lipschitz(ctx: PrimeContext):
     """Yield every tower-compatible function at this precision.
 
-    There are (p**p) ** ((p**K - 1)/(p - 1)) of them; refuse to iterate past
-    ``limit``.
+    There are (p**p) ** ((p**K - 1)/(p - 1)) of them, one digit map per
+    (level, prefix) slot; refuse to iterate past ``ENUMERATION_LIMIT``.
     """
-    slots = _subfunction_slots(ctx)
-    digit_maps = list(itertools.product(range(ctx.p), repeat=ctx.p))
-    total = len(digit_maps) ** len(slots)
-    if total > limit:
-        raise ValueError(f"would enumerate {total} functions, over the cap {limit}")
-    for combo in itertools.product(digit_maps, repeat=len(slots)):
-        choice = dict(zip(slots, combo))
-        yield _assemble(ctx, choice, "exhaustive")
+    p = ctx.p
+    digit_maps = list(itertools.product(range(p), repeat=p))
+    total = len(digit_maps) ** ((ctx.modulus - 1) // (p - 1))
+    if total > ENUMERATION_LIMIT:
+        raise ValueError(f"would enumerate {total} functions, over the cap {ENUMERATION_LIMIT}")
+    levels = [itertools.product(digit_maps, repeat=p**k) for k in range(ctx.precision)]
+    for subfunctions in itertools.product(*levels):
+        yield LipschitzFn.from_subfunctions(ctx, subfunctions, "exhaustive")
 
 
 # ---------------------------------------------------------------------------

@@ -211,17 +211,20 @@ def enumerate_automorphisms(
 # ---------------------------------------------------------------------------
 
 
+def _coprime_exponents(p: int) -> list[int]:
+    return [s for s in range(1, p) if math.gcd(s, p - 1) == 1]
+
+
 def family_specs(ctx: PrimeContext, family: str):
     """Yield every family member with parameters ranging over residues mod p**k."""
     p = ctx.p
     if family == "add":
         yield from (AddSpec(ctx.integer(A)) for A in ctx.units())
     elif family == "mul":
-        s_values = [s for s in range(1, p) if math.gcd(s, p - 1) == 1]
         units = list(ctx.units())
         yield from (
             MulSpec(s, ctx.integer(a), ctx.integer(A))
-            for s in s_values
+            for s in _coprime_exponents(p)
             for a in units
             for A in units
         )
@@ -236,10 +239,9 @@ def family_specs(ctx: PrimeContext, family: str):
             row_choices.append(rows)
         yield from (XorSpec(ctx, rows) for rows in itertools.product(*row_choices))
     elif family == "and":
-        valid = [e for e in range(1, p) if math.gcd(e, p - 1) == 1]
         yield from (
             AndSpec(ctx, exps)
-            for exps in itertools.product(valid, repeat=ctx.precision)
+            for exps in itertools.product(_coprime_exponents(p), repeat=ctx.precision)
         )
     else:
         raise ValueError(f"unknown family {family!r}")
@@ -252,13 +254,11 @@ def family_size(ctx: PrimeContext, family: str) -> int:
     if family == "add":
         return phi_units
     if family == "mul":
-        s_count = sum(1 for s in range(1, p) if math.gcd(s, p - 1) == 1)
-        return s_count * phi_units * phi_units
+        return len(_coprime_exponents(p)) * phi_units * phi_units
     if family == "xor":
         return (p - 1) ** k * p ** (k * (k - 1) // 2)
     if family == "and":
-        valid = sum(1 for e in range(1, p) if math.gcd(e, p - 1) == 1)
-        return valid**k
+        return len(_coprime_exponents(p)) ** k
     raise ValueError(f"unknown family {family!r}")
 
 

@@ -336,6 +336,28 @@ def test_analyzer_symmetric_example():
     assert report.group_order == 4
 
 
+# (constant, a, b, terms) of every custom operation the analyzer tests use
+ANALYZER_PATTERNS = [
+    (0, 1, 0, [(1, 4, 1)]),
+    (1, 1, 0, [(1, 4, 1)]),
+    (0, 2, 3, []),
+    (0, 1, 0, [(1, 2, 1)]),
+    (0, 0, 0, [(4, 1, 1), (1, 4, 1)]),
+    (0, 1, 1, [(2, 0, 25), (1, 1, 3)]),
+]
+
+
+@pytest.mark.parametrize("p,K", [(2, 3), (3, 2), (5, 2)])
+def test_analyzer_prediction_is_met(p, K):
+    # the full-ring prediction from the degree pattern: where it says the
+    # scaling group is nontrivial, the quotient search finds more than the identity
+    c = PrimeContext(p, K)
+    for constant, a, b, terms in ANALYZER_PATTERNS:
+        report = analyze_custom_op(CustomOp(c, constant, a, b, terms))
+        if report.predicted_nontrivial:
+            assert report.group_order > 1, (constant, a, b, terms)
+
+
 # ---------------------------------------------------------------------------
 # JSON encodings
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import resource
 import subprocess
 import sys
 
+import pytest
+
 from padiclab.cli import main
+
+# address-space cap for children that must fail before allocating a table
+CHILD_ADDRESS_SPACE = 512 * 2**20
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +174,35 @@ def test_enumerate_oversized_is_validation_error(capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def _limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize(
+    "command,spec",
+    [
+        ("eval", {"family": "add", "A": "3"}),
+        ("eval", {"family": "mul", "s": 1, "a": "1", "A": "1"}),
+        ("make-aut", {"family": "xor", "alpha": [[0] * k + [1] for k in range(32)]}),
+        ("make-aut", {"family": "and", "s_list": [1] * 32}),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v["family"],
+)
+def test_oversized_realize_is_validation_error(command, spec):
+    # a table of 65521**32 entries: the size check fires before anything is
+    # built; the child runs under an address-space cap, so a missing check
+    # ends in a MemoryError traceback instead of exhausting the machine
+    argv = [sys.executable, "-m", "padiclab.cli", command, "--p", "65521", "--K", "32"]
+    argv += ["--spec", json.dumps(spec)] + (["--x", "2"] if command == "eval" else [])
+    proc = subprocess.run(
+        argv, capture_output=True, text=True, preexec_fn=_limit_address_space, timeout=60
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr[-500:]
 
 
 def test_verify_claims_structure(capsys):

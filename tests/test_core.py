@@ -59,7 +59,6 @@ def test_context_rejects_bad_precision():
         PrimeContext(3, 0)
     with pytest.raises(ValueError):
         PrimeContext(3, 33)
-    PrimeContext(3, 40, max_precision=64)  # configurable cap
 
 
 def test_from_digits_examples():

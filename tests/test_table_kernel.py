@@ -5,14 +5,21 @@ the digits of the argument, by encrypting the word, by summing ball
 coefficients, or with one series power per principal unit.  The grid
 includes p = 2 at K = 1, 2, 3, where the principal-unit generators -1 and
 5 have order at most 2.
+
+The realizers, ``model_fn``, ``from_subfunctions`` and the random
+generators skip the tower pass because their tables are compatible by
+construction; every built table is passed through ``from_table`` here.
 """
 
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padiclab import (
+    AddSpec,
     AndSpec,
     CompatibilityViolation,
     KeystreamKey,
@@ -49,6 +56,10 @@ def ctx(request):
 # ---------------------------------------------------------------------------
 # per-entry references
 # ---------------------------------------------------------------------------
+
+
+def reference_add(spec):
+    return tuple(spec.A.value * x % spec.ctx.modulus for x in range(spec.ctx.modulus))
 
 
 def reference_xor(spec):
@@ -164,6 +175,7 @@ def coprime_exponents(p):
 def random_specs(rng, ctx):
     p, K = ctx.p, ctx.precision
     for _ in range(SPECS_PER_FAMILY):
+        yield AddSpec(random_unit(rng, ctx))
         yield MulSpec(rng.choice(coprime_exponents(p)), random_unit(rng, ctx), random_unit(rng, ctx))
         alpha = [[rng.randrange(p) for _ in range(k)] + [rng.randrange(1, p)] for k in range(K)]
         yield XorSpec(ctx, alpha)
@@ -182,11 +194,22 @@ def random_keys(rng, ctx):
 # ---------------------------------------------------------------------------
 
 
+def revalidated(f):
+    """f, after asserting that from_table accepts its table unchanged."""
+    assert LipschitzFn.from_table(f.ctx, f.table) == f
+    return f
+
+
 def test_realizers_match_per_entry_references(ctx):
     rng = random.Random(ctx.p * 100 + ctx.precision)
-    reference = {MulSpec: reference_mul, XorSpec: reference_xor, AndSpec: reference_and}
+    reference = {
+        AddSpec: reference_add,
+        MulSpec: reference_mul,
+        XorSpec: reference_xor,
+        AndSpec: reference_and,
+    }
     for spec in random_specs(rng, ctx):
-        assert realize(spec).table == reference[type(spec)](spec), spec
+        assert revalidated(realize(spec)).table == reference[type(spec)](spec), spec
 
 
 def test_mul_realizer_edge_parameters(ctx):
@@ -195,13 +218,13 @@ def test_mul_realizer_edge_parameters(ctx):
     s_max = coprime_exponents(ctx.p)[-1]
     for s, a, A in [(1, 1, 1), (1, last, 1), (s_max, last, last), (s_max, 1, last)]:
         spec = MulSpec(s, ctx.integer(a), ctx.integer(A))
-        assert realize(spec).table == reference_mul(spec)
+        assert revalidated(realize(spec)).table == reference_mul(spec)
 
 
 def test_model_fn_matches_encrypt_per_word(ctx):
     rng = random.Random(ctx.p * 100 + ctx.precision + 1)
     for key in random_keys(rng, ctx):
-        assert model_fn(key, ctx).table == reference_model_fn(key, ctx), key.kind
+        assert revalidated(model_fn(key, ctx)).table == reference_model_fn(key, ctx), key.kind
 
 
 def test_from_subfunctions_matches_per_argument_assembly(ctx):
@@ -213,15 +236,47 @@ def test_from_subfunctions_matches_per_argument_assembly(ctx):
             for k in range(ctx.precision)
         ]
         assert (
-            LipschitzFn.from_subfunctions(ctx, subfunctions).table
+            revalidated(LipschitzFn.from_subfunctions(ctx, subfunctions)).table
             == reference_from_subfunctions(ctx, subfunctions)
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_from_subfunctions_accepts_exactly_what_from_table_accepts(data):
+    # any integer digit maps give a tower-compatible table, so only the
+    # length (a level one slot short) and the range (digits -1 or >= p) can fail;
+    # half the examples keep every digit in range, half every level length exact
+    p, K = data.draw(st.sampled_from([(2, 1), (2, 3), (3, 2), (5, 2)]), label="(p, K)")
+    ctx = PrimeContext(p, K)
+    low, high = data.draw(st.sampled_from([(0, p - 1), (-1, 2 * p)]), label="digit range")
+    slack = data.draw(st.sampled_from([0, 1]), label="level length slack")
+    digit_map = st.lists(st.integers(low, high), min_size=p, max_size=p)
+    subfunctions = [
+        data.draw(
+            st.lists(digit_map, min_size=p**k - slack, max_size=p**k + slack), label=f"level {k}"
+        )
+        for k in range(K)
+    ]
+    try:
+        expected = LipschitzFn.from_table(ctx, reference_from_subfunctions(ctx, subfunctions))
+    except IndexError:  # a level too short for the per-argument reference
+        expected = None
+    except ValueError as rejected:
+        assert not isinstance(rejected, CompatibilityViolation)
+        expected = None
+    if expected is None:
+        with pytest.raises(ValueError):
+            LipschitzFn.from_subfunctions(ctx, subfunctions)
+    else:
+        assert LipschitzFn.from_subfunctions(ctx, subfunctions) == expected
 
 
 def test_vdp_inverse_matches_ball_sums(ctx):
     rng = random.Random(ctx.p * 100 + ctx.precision + 3)
     for i in range(4):
         f = random_lipschitz(ctx, rng) if i % 2 else random_measure_preserving(ctx, rng)
+        revalidated(f)
         series = vdp_transform(f)
         assert vdp_inverse(series).table == reference_ball_sums(series)
         assert vdp_inverse(series) == f
