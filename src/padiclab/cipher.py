@@ -222,7 +222,7 @@ def model_fn(key: CipherKey, ctx: PrimeContext) -> LipschitzFn:
     Position-wise action makes it tower compatible, and permutations per
     symbol make it invertible.  The symbol map at position k is the digit
     map at level k for every prefix, so the table is assembled by
-    from_subfunctions in O(p**K), which checks only its length and range.
+    from_subfunctions in O(p**K), which checks only its shape and range.
     """
     if key.p != ctx.p:
         raise ValueError(f"alphabet mismatch: key {key.p}, context {ctx.p}")

@@ -85,8 +85,8 @@ class LipschitzFn:
         if len(table) != ctx.modulus:
             raise ValueError(f"table length {len(table)}, expected {ctx.modulus}")
         for x, v in enumerate(table):
-            if not (0 <= v < ctx.modulus):
-                raise ValueError(f"table[{x}] = {v} outside [0, {ctx.modulus})")
+            if type(v) is not int or not 0 <= v < ctx.modulus:  # bools are not ints here
+                raise ValueError(f"table[{x}] = {v!r}, expected an int in [0, {ctx.modulus})")
         if any(
             (fx - frest) % block
             for block, lead in _leading_digits(ctx)
@@ -104,24 +104,26 @@ class LipschitzFn:
     def from_subfunctions(
         cls, ctx: PrimeContext, subfunctions, provenance: str | None = None
     ) -> "LipschitzFn":
-        """Assemble a table from digit maps, checking only its length and range.
+        """Assemble a table from digit maps, checking only its shape and range.
 
         ``subfunctions[k][a]`` gives the k-th output digit as a function of
-        the k-th input digit once the k low digits equal the prefix a.  For
-        any integer digit maps f(x) mod p**j depends only on x mod p**j, so
-        the result is tower compatible and needs no tower pass.  The table is
+        the k-th input digit once the k low digits equal the prefix a, so
+        level k must hold exactly p**k maps of exactly p digits.  For any
+        integer digit maps f(x) mod p**j depends only on x mod p**j, so the
+        result is tower compatible and needs no tower pass.  The table is
         built level by level, table[a + d*p**k] = table[a] + phi_{k,a}(d) * p**k
         with table[a] the value on the k low digits, in O(p**K).
         """
         _check_table_size(ctx)
         p = ctx.p
+        if len(subfunctions) != ctx.precision:
+            raise ValueError(f"{len(subfunctions)} levels of digit maps, expected {ctx.precision}")
         table = [0]
-        for k in range(ctx.precision):
+        for k, level in enumerate(subfunctions):
             block = p**k
-            level = subfunctions[k]
+            if len(level) != block or set(map(len, level)) != {p}:
+                raise ValueError(f"level {k} needs {block} digit maps of {p} digits each")
             table = [v + phi[d] * block for d in range(p) for v, phi in zip(table, level)]
-        if len(table) != ctx.modulus:
-            raise ValueError(f"table length {len(table)}, expected {ctx.modulus}")
         if not (0 <= min(table) and max(table) < ctx.modulus):
             raise ValueError(f"digit maps give values outside [0, {ctx.modulus})")
         return cls(ctx, table, provenance)

@@ -84,10 +84,7 @@ class EnumerationResult:
 
 
 def _resolve_ops(ops) -> list[Operation]:
-    out = []
-    for op in ops:
-        out.append(op if isinstance(op, Operation) else operation_by_name(op))
-    return out
+    return [op if isinstance(op, Operation) else operation_by_name(op) for op in ops]
 
 
 def enumerate_automorphisms(
@@ -263,8 +260,19 @@ def family_size(ctx: PrimeContext, family: str) -> int:
 
 
 def family_tables(ctx: PrimeContext, family: str) -> set[tuple[int, ...]]:
-    """Value tables of every family member with parameters ranging mod p**k."""
-    return {realize(spec).table for spec in family_specs(ctx, family)}
+    """Value tables of every family member with parameters ranging mod p**k.
+
+    For "mul" only the members with a, A below max(p, p**(k-1)) are
+    realized, since every other member repeats one of their tables: the
+    exponent a acts on the principal units mod p**k, a group of order
+    p**(k-1), and A enters only as (p*A)**m with m >= 1, so both matter
+    only mod p**(k-1).  At k = 1 the bound p keeps every unit.
+    """
+    specs = family_specs(ctx, family)
+    if family == "mul":
+        bound = max(ctx.p, ctx.p ** (ctx.precision - 1))
+        specs = (spec for spec in specs if spec.a.value < bound and spec.A.value < bound)
+    return {realize(spec).table for spec in specs}
 
 
 @dataclass(frozen=True)
@@ -333,14 +341,6 @@ class PairReport:
     identity_only: bool
     witness: tuple[int, ...] | None  # first non-identity automorphism, if any
 
-    def to_json(self) -> dict:
-        return {
-            "ops": list(self.ops),
-            "count": self.count,
-            "identity_only": self.identity_only,
-            "witness": list(self.witness) if self.witness else None,
-        }
-
 
 @dataclass(frozen=True)
 class TrivialPairsReport:
@@ -349,15 +349,6 @@ class TrivialPairsReport:
     pairs: tuple[PairReport, ...]
     all_trivial: bool
     nodes: int
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "k": self.k,
-            "all_trivial": self.all_trivial,
-            "nodes": self.nodes,
-            "pairs": [r.to_json() for r in self.pairs],
-        }
 
 
 def verify_trivial_pairs(

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from padiclab import cli, oracle
 from padiclab.cli import main
 
 # address-space cap for children that must fail before allocating a table
@@ -205,6 +206,40 @@ def test_oversized_realize_is_validation_error(command, spec):
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr[-500:]
 
 
+# the malformed inputs of the points benchmark, plus an inverse transform
+# whose input lacks its coefficients
+DEEP_FORMULA = '["xor",' * 1500 + '["leaf",0]' + ',["leaf",0]]' * 1500
+MALFORMED_ARGVS = [
+    ["check", "--in", '{"p":2,"K":1,"table":[0.5,1]}'],
+    ["vdp", "--inverse", "--in", '{"p":2,"K":1,"B":[0.5,1]}'],
+    ["check", "--in", '{"p":2,"K":1,"table":[true,false]}'],
+    ["check", "--in", '{"p":"3","K":1,"table":[0,1,2]}'],
+    ["check", "--in", '{"p":3,"K":1,"table":null}'],
+    ["check", "--in", "[0,1,2]"],
+    [
+        "cipher", "demo", "--key", '{"kind":"keystream","p":2,"gamma":[1]}',
+        "--formula", DEEP_FORMULA, "--data", '[{"p":2,"symbols":[1]}]',
+    ],
+    ["vdp", "--inverse", "--in", '{"p":2,"K":1}'],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGVS, ids=lambda argv: " ".join(argv)[:40])
+def test_malformed_input_is_one_error_line(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err[-500:]
+    assert "Traceback" not in captured.err
+
+
+def test_missing_key_is_named(capsys):
+    assert main(["vdp", "--inverse", "--in", '{"p":2,"K":1}']) == 1
+    assert capsys.readouterr().err == "error: missing key 'B'\n"
+
+
 def test_verify_claims_structure(capsys):
     code, out = run_cli(capsys, "verify", "--p", "2", "--k", "2", "--seed", "7")
     data = json.loads(out)
@@ -220,6 +255,39 @@ def test_verify_claims_structure(capsys):
     assert data["all_pass"] is False
     assert by_name["family-matches-oracle-plus"]["pass"]
     assert by_name["criterion-equivalence"]["pass"]
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (2, 3), (3, 3), (2, 5)])
+def test_verify_pair_counts_match_pair_searches(capsys, p, k):
+    # verify reads each pair off the single-op groups; the reference
+    # searches the pair itself
+    code, out = run_cli(capsys, "verify", "--p", str(p), "--k", str(k))
+    claim = {c["name"]: c for c in json.loads(out)["claims"]}["trivial-pairs"]
+    report = oracle.verify_trivial_pairs(p, k)
+    assert claim["detail"]["counts"] == {"+".join(r.ops): r.count for r in report.pairs}
+    assert claim["pass"] is report.all_trivial
+    assert code == (0 if report.all_trivial else 2)
+
+
+def test_verify_searches_once_per_operation(capsys, monkeypatch):
+    searches, pair_runs = [], []
+    enumerate_automorphisms = oracle.enumerate_automorphisms
+    verify_trivial_pairs = oracle.verify_trivial_pairs
+
+    def counted_enumeration(ctx, ops, **kwargs):
+        searches.append(tuple(ops))
+        return enumerate_automorphisms(ctx, ops, **kwargs)
+
+    def counted_pairs(*args, **kwargs):
+        pair_runs.append(args)
+        return verify_trivial_pairs(*args, **kwargs)
+
+    for module in (cli, oracle):
+        monkeypatch.setattr(module, "enumerate_automorphisms", counted_enumeration)
+        monkeypatch.setattr(module, "verify_trivial_pairs", counted_pairs, raising=False)
+    run_cli(capsys, "verify", "--p", "3", "--k", "2")
+    assert sorted(searches) == [("and",), ("plus",), ("times",), ("xor",)]
+    assert pair_runs == []
 
 
 def test_verify_exit_codes_validation():

@@ -95,6 +95,10 @@ def test_from_table_input_validation():
         LipschitzFn.from_table(ctx, [0, 1, 2])
     with pytest.raises(ValueError):
         LipschitzFn.from_table(ctx, [0, 1, 2, 4])
+    # only ints: a float or a bool is rejected by its index, even in range
+    for table in ([0.5, 1, 2, 3], [0, 1.0, 2, 3], [False, True, 2, 3], [0, 1, 2, "3"]):
+        with pytest.raises(ValueError, match=r"table\[\d\] = .*, expected an int"):
+            LipschitzFn.from_table(ctx, table)
 
 
 def test_vdp_identity_coefficients():

@@ -9,12 +9,14 @@ from padiclab import (
     PrimeContext,
     compare_with_family,
     enumerate_automorphisms,
+    family_specs,
     family_tables,
     operation_by_name,
+    realize,
     verify_trivial_pairs,
 )
 from padiclab.automorph import Operation
-from padiclab.oracle import OPERATION_PAIRS
+from padiclab.oracle import OP_TO_FAMILY, OPERATION_PAIRS
 
 # the four single operations and the six pairs
 OP_SETS = [["plus"], ["xor"], ["and"], ["times"]] + [list(pair) for pair in OPERATION_PAIRS]
@@ -239,6 +241,18 @@ def test_times_comparison_equal_at_p3():
     assert comparison.enumerated_count == 4
 
 
+@pytest.mark.parametrize(
+    "p,k",
+    [(2, k) for k in range(1, 7)] + [(3, k) for k in range(1, 5)] + [(5, 1), (5, 2), (5, 3), (7, 2)],
+)
+def test_mul_family_tables_match_every_parameter_choice(p, k):
+    # the reference realizes every (s, a, A) mod p**k; family_tables only
+    # the a, A below max(p, p**(k-1))
+    ctx = PrimeContext(p, k)
+    every_choice = {realize(spec).table for spec in family_specs(ctx, "mul")}
+    assert family_tables(ctx, "mul") == every_choice
+
+
 def test_family_tables_counts():
     assert len(family_tables(PrimeContext(3, 2), "add")) == 6
     assert len(family_tables(PrimeContext(2, 3), "xor")) == 8
@@ -275,6 +289,28 @@ def test_trivial_pairs_quotient_counts():
         ("times", "and"): 1,
         ("xor", "and"): 1,
     }
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)])
+def test_pair_groups_are_intersections_of_single_op_groups(p, k):
+    # the search imposes each operation's constraints as a conjunction, so
+    # a pair search finds exactly the maps found by both single-op searches
+    ctx = PrimeContext(p, k)
+    groups = {op: set(enumerate_automorphisms(ctx, [op]).automorphisms) for op in OP_TO_FAMILY}
+    for a, b in OPERATION_PAIRS:
+        pair = enumerate_automorphisms(ctx, [a, b]).automorphisms
+        assert tuple(sorted(groups[a] & groups[b])) == pair, (a, b)
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("custom", [SKEW, DRIFT], ids=lambda op: op.name)
+def test_custom_op_pairs_are_intersections(p, k, custom):
+    ctx = PrimeContext(p, k)
+    alone = set(enumerate_automorphisms(ctx, [custom]).automorphisms)
+    for op in OP_TO_FAMILY:
+        single = set(enumerate_automorphisms(ctx, [op]).automorphisms)
+        both = enumerate_automorphisms(ctx, [custom, op]).automorphisms
+        assert tuple(sorted(alone & single)) == both, op
 
 
 def test_trivial_pair_extras_do_not_lift():

@@ -245,31 +245,50 @@ def test_from_subfunctions_matches_per_argument_assembly(ctx):
 @given(st.data())
 def test_from_subfunctions_accepts_exactly_what_from_table_accepts(data):
     # any integer digit maps give a tower-compatible table, so only the
-    # length (a level one slot short) and the range (digits -1 or >= p) can fail;
-    # half the examples keep every digit in range, half every level length exact
+    # shape (a level one map off p**k, a digit map one digit off p) and the
+    # range (digits -1 or >= p) can fail; a wrong shape is rejected even
+    # when the per-argument reference would read a table out of it
     p, K = data.draw(st.sampled_from([(2, 1), (2, 3), (3, 2), (5, 2)]), label="(p, K)")
     ctx = PrimeContext(p, K)
     low, high = data.draw(st.sampled_from([(0, p - 1), (-1, 2 * p)]), label="digit range")
     slack = data.draw(st.sampled_from([0, 1]), label="level length slack")
-    digit_map = st.lists(st.integers(low, high), min_size=p, max_size=p)
+    map_slack = data.draw(st.sampled_from([0, 0, 1]), label="digit map length slack")
+    digit_map = st.lists(st.integers(low, high), min_size=p - map_slack, max_size=p + map_slack)
     subfunctions = [
         data.draw(
             st.lists(digit_map, min_size=p**k - slack, max_size=p**k + slack), label=f"level {k}"
         )
         for k in range(K)
     ]
-    try:
-        expected = LipschitzFn.from_table(ctx, reference_from_subfunctions(ctx, subfunctions))
-    except IndexError:  # a level too short for the per-argument reference
-        expected = None
-    except ValueError as rejected:
-        assert not isinstance(rejected, CompatibilityViolation)
-        expected = None
+    expected = None
+    if all(
+        len(level) == p**k and all(len(phi) == p for phi in level)
+        for k, level in enumerate(subfunctions)
+    ):
+        try:
+            expected = LipschitzFn.from_table(ctx, reference_from_subfunctions(ctx, subfunctions))
+        except ValueError as rejected:
+            assert not isinstance(rejected, CompatibilityViolation)
     if expected is None:
         with pytest.raises(ValueError):
             LipschitzFn.from_subfunctions(ctx, subfunctions)
     else:
         assert LipschitzFn.from_subfunctions(ctx, subfunctions) == expected
+
+
+def test_from_subfunctions_rejects_extra_levels_maps_and_digits():
+    ctx = PrimeContext(2, 2)
+    good = [[(0, 1)], [(0, 1), (1, 0)]]
+    assert LipschitzFn.from_subfunctions(ctx, good).table == (0, 3, 2, 1)
+    for bad in (
+        [[(0, 1, 1)], [(0, 1), (1, 0)]],  # a digit map one digit long
+        [[(0, 1)], [(0, 1), (1, 0), (1, 1)]],  # a level one map long
+        [[(0,)], [(0, 1), (1, 0)]],  # a digit map one digit short
+        [[(0, 1)]],  # a level missing
+        good + [[(0, 1)] * 4],  # a level extra
+    ):
+        with pytest.raises(ValueError):
+            LipschitzFn.from_subfunctions(ctx, bad)
 
 
 def test_vdp_inverse_matches_ball_sums(ctx):
