@@ -48,6 +48,9 @@ class PrimeContext:
     __slots__ = ("p", "precision", "modulus")
 
     def __init__(self, p: int, precision: int):
+        for name, value in (("p", p), ("precision", precision)):
+            if type(value) is not int:  # bool is an int subclass, float is not exact
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if not (2 <= p < 2**16):
             raise ValueError(f"p must satisfy 2 <= p < 2**16, got {p}")
         if not is_prime(p):

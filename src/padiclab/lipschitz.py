@@ -390,6 +390,9 @@ def fn_from_json(data: dict) -> LipschitzFn:
 
 def series_from_json(data: dict) -> VdpSeries:
     ctx = PrimeContext(data["p"], data["K"])
+    for i, c in enumerate(data["B"]):
+        if type(c) is not int:
+            raise ValueError(f"B[{i}] = {c!r}, expected an int")
     coeffs = [c % ctx.modulus for c in data["B"]]
     if len(coeffs) != ctx.modulus:
         raise ValueError(f"need {ctx.modulus} coefficients, got {len(coeffs)}")

@@ -9,6 +9,14 @@ f(y)``.  A forced value that is already taken, does not lift the level
 below, or contradicts an earlier value cuts the branch.  The search effort
 (``nodes``) is the number of value assignments, branched or forced.
 
+Each level is searched as a union of cosets rather than map by map.
+Reduction mod p**j is a group homomorphism from the maps found at level
+j+1 onto a subgroup of the maps found at level j, so its fibers are the
+cosets of its kernel ``K_{j+1}``, the maps that reduce to the identity.  The
+search therefore enumerates ``K_{j+1}`` once, looks for one lift ``h_g`` of
+each map ``g`` of level j, and composes: level j+1 is the union of the
+``h_g o K_{j+1}``.
+
 The enumerated sets are compared against the realized parametric families.
 Any disagreement is reported with witnesses -- at finite precision the
 quotient can have automorphisms that no family member reduces to, since
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import PrimeContext
@@ -44,7 +53,8 @@ class BudgetExceeded(RuntimeError):
     Besides the node count and the budget it reports the progress made:
     ``level`` is the precision the search was working on when it stopped
     (it was extending maps to Z/p**level) and ``found`` counts the complete
-    maps found so far.
+    maps of that level known so far: the kernel maps found, or, once the
+    kernel is complete, every coset of the lifts found.
     """
 
     def __init__(self, nodes: int, budget: int, level: int, found: int):
@@ -92,19 +102,33 @@ def enumerate_automorphisms(
 ) -> EnumerationResult:
     """Exhaustively enumerate the automorphisms of Z/p**k for the given ops.
 
-    The map is built level by level: a map ``g`` on Z/p**j is extended to
-    ``h`` on Z/p**(j+1) one value at a time, every ``h(x)`` an unused lift
-    ``g(x mod p**j) + d*p**j``.  The search branches on the smallest
-    unassigned argument.  After each assignment ``h(a) = v`` it forces
-    ``h(a op b) := v op h(b)`` (and ``h(b op a)`` for a non-commutative
-    table) for every assigned ``b``; a forced value that is already taken,
-    is not a lift, or differs from the value already there cuts the branch.
-    ``nodes`` counts value assignments, branched or forced.
+    The group is built level by level, starting from the one map on Z/1.
+    On each level j the search extends a map ``g`` on Z/p**j to ``h`` on
+    Z/p**(j+1) one value at a time, every ``h(x)`` an unused lift
+    ``g(x mod p**j) + d*p**j``.  It branches on the smallest unassigned
+    argument.  After each assignment ``h(a) = v`` it forces ``h(a op b) :=
+    v op h(b)`` (and ``h(b op a)`` for a non-commutative table) for every
+    assigned ``b``; a forced value that is already taken, is not a lift, or
+    differs from the value already there cuts the branch.
+
+    The level-(j+1) maps form a union of cosets.  The search runs once in
+    full from the identity on Z/p**j to collect the kernel ``K_{j+1}``, then
+    once per map ``g`` of level j, stopping at its first lift ``h_g`` (a
+    ``g`` with no lift drops out), and the next level is every ``h_g o
+    kappa`` with ``kappa`` in ``K_{j+1}``.  This is exact: composites and
+    inverses of bijective homomorphisms are homomorphisms, and reduction
+    mod p**j respects composition, so the level-(j+1) maps form a group,
+    reduction is a homomorphism from it, and any other lift ``f`` of ``g``
+    is ``h_g o (h_g**-1 o f)`` with ``h_g**-1 o f`` in the kernel.  Nothing
+    here needs the op to be commutative or to reduce from one level to the
+    next.  ``nodes`` counts value assignments, branched or forced, summed
+    over the kernel searches and the first-lift searches.
 
     Exact and complete within the node budget; raises BudgetExceeded rather
     than returning a truncated answer.  Raises ValueError, before any table
     is built, when one operation table of (p**k)**2 entries would exceed
-    ``MAX_TABLE_SIZE``.
+    ``MAX_TABLE_SIZE``, and before composing a level whose maps would hold
+    more than ``MAX_TABLE_SIZE`` entries in all.
     """
     p, k = ctx.p, ctx.precision
     if ctx.modulus**2 > MAX_TABLE_SIZE:
@@ -130,11 +154,11 @@ def enumerate_automorphisms(
                 tables.append(transpose)
         level_tables.append(tables)
 
-    found: list[tuple[int, ...]] = []
     nodes = 0
+    known = 0  # complete maps of the level being built, outside the running search
 
-    def extend(j: int, g: list[int]) -> None:
-        """Enumerate every extension of the map g on Z/p**j to Z/p**(j+1)."""
+    def extend(j: int, g: Sequence[int], first: bool) -> list[tuple[int, ...]]:
+        """The extensions of the map g on Z/p**j to Z/p**(j+1): all, or the first."""
         n = p ** (j + 1)
         block = p**j
         tables = level_tables[j]
@@ -142,12 +166,13 @@ def enumerate_automorphisms(
         h = [-1] * n
         inv = [-1] * n
         trail: list[int] = []  # assigned arguments in order, also the queue
+        found: list[tuple[int, ...]] = []
 
         def put(z: int, w: int) -> None:
             nonlocal nodes
             nodes += 1
             if nodes > node_budget:
-                raise BudgetExceeded(nodes, node_budget, j + 1, len(found))
+                raise BudgetExceeded(nodes, node_budget, j + 1, known + len(found))
             h[z] = w
             inv[w] = z
             trail.append(z)
@@ -193,14 +218,29 @@ def enumerate_automorphisms(
                 x += 1
             if x < n:
                 stack.append([x, len(trail), 0])
-            elif j + 1 < k:
-                extend(j + 1, h)
             else:
                 found.append(tuple(h))
+                if first:
+                    break
+        return found
 
-    extend(0, [0])
+    group: list[tuple[int, ...]] = [(0,)]
+    for j in range(k):
+        known = 0
+        kernel = extend(j, range(p**j), False)
+        known = len(kernel)  # the identity's coset
+        lifts = []
+        for g in group:
+            lifts.extend(extend(j, g, True))
+            known = len(lifts) * len(kernel)
+            if known * p ** (j + 1) > MAX_TABLE_SIZE:
+                raise ValueError(
+                    f"the maps mod p**{j + 1} would hold more than "
+                    f"{MAX_TABLE_SIZE} entries in all (desk-scale cap)"
+                )
+        group = [tuple([h[y] for y in kappa]) for h in lifts for kappa in kernel]
     names = tuple(op.name for op in operations)
-    return EnumerationResult(p, k, names, tuple(sorted(found)), nodes)
+    return EnumerationResult(p, k, names, tuple(sorted(group)), nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -212,19 +252,23 @@ def _coprime_exponents(p: int) -> list[int]:
     return [s for s in range(1, p) if math.gcd(s, p - 1) == 1]
 
 
+def _mul_specs(ctx: PrimeContext, units: list[int]):
+    """Every MulSpec whose multipliers a and A are drawn from ``units``."""
+    return (
+        MulSpec(s, ctx.integer(a), ctx.integer(A))
+        for s in _coprime_exponents(ctx.p)
+        for a in units
+        for A in units
+    )
+
+
 def family_specs(ctx: PrimeContext, family: str):
     """Yield every family member with parameters ranging over residues mod p**k."""
     p = ctx.p
     if family == "add":
         yield from (AddSpec(ctx.integer(A)) for A in ctx.units())
     elif family == "mul":
-        units = list(ctx.units())
-        yield from (
-            MulSpec(s, ctx.integer(a), ctx.integer(A))
-            for s in _coprime_exponents(p)
-            for a in units
-            for A in units
-        )
+        yield from _mul_specs(ctx, list(ctx.units()))
     elif family == "xor":
         row_choices = []
         for k in range(ctx.precision):
@@ -268,10 +312,11 @@ def family_tables(ctx: PrimeContext, family: str) -> set[tuple[int, ...]]:
     p**(k-1), and A enters only as (p*A)**m with m >= 1, so both matter
     only mod p**(k-1).  At k = 1 the bound p keeps every unit.
     """
-    specs = family_specs(ctx, family)
     if family == "mul":
-        bound = max(ctx.p, ctx.p ** (ctx.precision - 1))
-        specs = (spec for spec in specs if spec.a.value < bound and spec.A.value < bound)
+        p = ctx.p
+        specs = _mul_specs(ctx, [u for u in range(1, max(p, p ** (ctx.precision - 1))) if u % p])
+    else:
+        specs = family_specs(ctx, family)
     return {realize(spec).table for spec in specs}
 
 

@@ -157,18 +157,33 @@ def test_enumerate_budget_exit_code(capsys):
 
 
 def test_enumerate_budget_error_is_one_line(capsys):
+    # 26 assignments on Z/5, 125 for the kernel on Z/25 and 25 per first
+    # lift: node 201 is the last value of the lift of x -> 2x, when only the
+    # identity's coset (the 5 maps x -> Ax with A = 1 mod 5) is known
     code = main(["enumerate", "--p", "5", "--k", "2", "--ops", "plus", "--budget", "200"])
     err = capsys.readouterr().err
     assert code == 3
     assert err.splitlines() == [
         "error: search expanded 201 nodes, budget 200; stopped at level 2 "
-        "(maps mod p**2) with 7 complete maps found"
+        "(maps mod p**2) with 5 complete maps found"
     ]
 
 
 def test_enumerate_oversized_is_validation_error(capsys):
     # each op table would hold 65521**4 entries; the size guard fires first
     code = main(["enumerate", "--p", "65521", "--k", "2", "--ops", "plus"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_enumerate_oversized_output_is_validation_error(capsys):
+    # xor at (2,7) has 2**21 maps of 128 entries; the output guard fires
+    # while the level-7 lifts are searched, before any map is composed
+    code = main(["enumerate", "--p", "2", "--k", "7", "--ops", "xor"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
@@ -238,6 +253,33 @@ def test_malformed_input_is_one_error_line(capsys, argv):
 def test_missing_key_is_named(capsys):
     assert main(["vdp", "--inverse", "--in", '{"p":2,"K":1}']) == 1
     assert capsys.readouterr().err == "error: missing key 'B'\n"
+
+
+# floats, bools and strings where the JSON needs an int, named by field
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["check", "--in", '{"p":3,"K":true,"table":[0,1,2]}'],
+            "error: precision must be an int, got True",
+        ),
+        (["check", "--in", '{"p":3.0,"K":1,"table":[0,1,2]}'], "error: p must be an int, got 3.0"),
+        (["check", "--in", '{"p":"3","K":1,"table":[0,1,2]}'], "error: p must be an int, got '3'"),
+        (
+            ["vdp", "--inverse", "--in", '{"p":2,"K":1,"B":[true,1]}'],
+            "error: B[0] = True, expected an int",
+        ),
+        (
+            ["vdp", "--inverse", "--in", '{"p":2,"K":1,"B":[0.5,1]}'],
+            "error: B[0] = 0.5, expected an int",
+        ),
+    ],
+)
+def test_non_int_json_field_is_named(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
 
 
 def test_verify_claims_structure(capsys):

@@ -61,6 +61,15 @@ def test_context_rejects_bad_precision():
         PrimeContext(3, 33)
 
 
+@pytest.mark.parametrize(
+    "p,precision,field",
+    [(3.0, 2, "p"), ("3", 2, "p"), (True, 2, "p"), (3, 2.0, "precision"), (3, True, "precision")],
+)
+def test_context_rejects_non_int_fields(p, precision, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        PrimeContext(p, precision)
+
+
 def test_from_digits_examples():
     assert PrimeContext(3, 3).from_digits([1, 2]).value == 7
     assert PrimeContext(2, 4).from_digits([]).value == 0

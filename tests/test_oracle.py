@@ -9,14 +9,23 @@ from padiclab import (
     PrimeContext,
     compare_with_family,
     enumerate_automorphisms,
+    family_size,
     family_specs,
     family_tables,
     operation_by_name,
     realize,
     verify_trivial_pairs,
 )
+from padiclab import oracle
 from padiclab.automorph import Operation
-from padiclab.oracle import OP_TO_FAMILY, OPERATION_PAIRS
+from padiclab.oracle import (
+    DEFAULT_NODE_BUDGET,
+    MAX_TABLE_SIZE,
+    OP_TO_FAMILY,
+    OPERATION_PAIRS,
+    EnumerationResult,
+    _resolve_ops,
+)
 
 # the four single operations and the six pairs
 OP_SETS = [["plus"], ["xor"], ["and"], ["times"]] + [list(pair) for pair in OPERATION_PAIRS]
@@ -103,6 +112,113 @@ def permutation_enumeration(p, k, ops):
     return sorted(found)
 
 
+def full_enumeration(
+    ctx: PrimeContext, ops, *, node_budget: int = DEFAULT_NODE_BUDGET
+) -> EnumerationResult:
+    """Reference search: find every map of every level by search.
+
+    The oracle's propagating search before it became a coset search: a map
+    found on Z/p**j is extended to every one of its lifts on Z/p**(j+1) and
+    each of those is extended in turn, so ``found`` collects the maps of
+    Z/p**k one by one.
+    """
+    p, k = ctx.p, ctx.precision
+    if ctx.modulus**2 > MAX_TABLE_SIZE:
+        raise ValueError(
+            f"operation tables of {ctx.modulus}**2 entries exceed the "
+            f"desk-scale cap {MAX_TABLE_SIZE}"
+        )
+    operations = _resolve_ops(ops)
+
+    # per level j: the flat table of x op y mod p**(j+1) for each op, and
+    # its transpose (y op x) too when the op is not commutative, so that
+    # checking (a, b) in every table covers b op a as well
+    level_tables: list[list[list[int]]] = []
+    for j in range(k):
+        level_ctx = PrimeContext(p, j + 1)
+        n = level_ctx.modulus
+        tables = []
+        for op in operations:
+            flat = [op.apply(level_ctx, x, y) for x in range(n) for y in range(n)]
+            transpose = [flat[y * n + x] for x in range(n) for y in range(n)]
+            tables.append(flat)
+            if transpose != flat:
+                tables.append(transpose)
+        level_tables.append(tables)
+
+    found: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def extend(j: int, g: list[int]) -> None:
+        """Enumerate every extension of the map g on Z/p**j to Z/p**(j+1)."""
+        n = p ** (j + 1)
+        block = p**j
+        tables = level_tables[j]
+        low = [g[x % block] for x in range(n)]  # h(x) = low[x] mod p**j
+        h = [-1] * n
+        inv = [-1] * n
+        trail: list[int] = []  # assigned arguments in order, also the queue
+
+        def put(z: int, w: int) -> None:
+            nonlocal nodes
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceeded(nodes, node_budget, j + 1, len(found))
+            h[z] = w
+            inv[w] = z
+            trail.append(z)
+
+        def propagate(qi: int) -> bool:
+            """Force the consequences of trail[qi:]; False on a conflict."""
+            while qi < len(trail):
+                a = trail[qi]
+                qi += 1
+                v = h[a]
+                ra = a * n
+                rv = v * n
+                # each pair is checked once: when its later member leaves the queue
+                for flat in tables:
+                    for b in trail[:qi]:
+                        z = flat[ra + b]
+                        w = flat[rv + h[b]]
+                        if h[z] != w:
+                            if h[z] >= 0 or inv[w] >= 0 or w % block != low[z]:
+                                return False
+                            put(z, w)
+            return True
+
+        stack = [[0, 0, 0]]  # per branch point: [argument, trail mark, next digit]
+        while stack:
+            frame = stack[-1]
+            x, mark, d = frame
+            for z in trail[mark:]:
+                inv[h[z]] = -1
+                h[z] = -1
+            del trail[mark:]
+            base = low[x]
+            while d < p and inv[base + d * block] >= 0:
+                d += 1
+            if d == p:
+                stack.pop()
+                continue
+            frame[2] = d + 1
+            put(x, base + d * block)
+            if not propagate(mark):
+                continue
+            while x < n and h[x] >= 0:
+                x += 1
+            if x < n:
+                stack.append([x, len(trail), 0])
+            elif j + 1 < k:
+                extend(j + 1, h)
+            else:
+                found.append(tuple(h))
+
+    extend(0, [0])
+    names = tuple(op.name for op in operations)
+    return EnumerationResult(p, k, names, tuple(sorted(found)), nodes)
+
+
 # the first four keep their historical ids ops0..ops3
 @pytest.mark.parametrize(
     "ops",
@@ -140,6 +256,40 @@ def test_custom_ops_match_permutation_reference(p, k, op):
     for ops in ([op], [op, "xor"]):
         result = enumerate_automorphisms(PrimeContext(p, k), ops)
         assert list(result.automorphisms) == permutation_enumeration(p, k, ops)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)])
+def test_coset_search_matches_full_search(p, k):
+    ctx = PrimeContext(p, k)
+    for ops in OP_SETS:
+        result = enumerate_automorphisms(ctx, ops)
+        assert result.automorphisms == full_enumeration(ctx, ops).automorphisms, ops
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (2, 3), (5, 2)])
+@pytest.mark.parametrize("custom", [SKEW, DRIFT], ids=lambda op: op.name)
+def test_coset_search_matches_full_search_on_custom_ops(p, k, custom):
+    # the coset argument needs neither commutativity nor tower-compatible tables
+    ctx = PrimeContext(p, k)
+    for ops in ([custom], [custom, "xor"]):
+        result = enumerate_automorphisms(ctx, ops)
+        assert result.automorphisms == full_enumeration(ctx, ops).automorphisms, ops
+
+
+@pytest.mark.parametrize("p,k,times", [(3, 4, 324), (2, 6, 256)])
+def test_coset_search_counts_at_full_reach(p, k, times):
+    # every xor family member is found: 11,664 maps at (3,4), 32,768 at (2,6)
+    ctx = PrimeContext(p, k)
+    assert enumerate_automorphisms(ctx, ["xor"]).count == family_size(ctx, "xor")
+    assert enumerate_automorphisms(ctx, ["times"]).count == times
+
+
+def test_output_larger_than_the_cap_is_refused(monkeypatch):
+    # (3,3) xor has 12 maps mod 9 (108 entries) and 216 mod 27 (5,832); the
+    # op tables (27**2 = 729 entries) stay under the cap, the output does not
+    monkeypatch.setattr(oracle, "MAX_TABLE_SIZE", 1_000)
+    with pytest.raises(ValueError, match=r"maps mod p\*\*3"):
+        enumerate_automorphisms(PrimeContext(3, 3), ["xor"])
 
 
 def test_enumeration_counts_examples():
@@ -186,12 +336,19 @@ def test_budget_exceeded_is_raised_not_truncated():
 
 
 def test_budget_exceeded_reports_progress():
-    # 200 assignments: the Z/5 maps x -> x and x -> 2x are extended to
-    # Z/25; the first gives its 5 lifts, the second 2 of them before the cut
+    # 201 assignments. Z/5: the kernel search tries h(0) = 0..4 (four are
+    # cut at once, since h(0 + 0) must be h(0) + h(0)) and finds the 4 maps
+    # x -> Ax, each h(1) = A forcing h(2), h(3), h(4): 5 + 16; the first
+    # lift of the one map on Z/1 takes 5 more, 26 in all. Z/25: the kernel
+    # search tries h(0) = 0, 5, .., 20 and finds the 5 maps x -> Ax with
+    # A = 1 mod 5, each h(1) forcing the other 23 values: 5 + 120 = 125;
+    # each first lift takes 25. The cut falls on the last value of the lift
+    # of x -> 2x (26 + 125 + 25 + 25 = 201), so only the identity's coset,
+    # 5 maps, is known
     with pytest.raises(BudgetExceeded) as info:
         enumerate_automorphisms(PrimeContext(5, 2), ["plus"], node_budget=200)
     exc = info.value
-    assert (exc.nodes, exc.budget, exc.level, exc.found) == (201, 200, 2, 7)
+    assert (exc.nodes, exc.budget, exc.level, exc.found) == (201, 200, 2, 5)
     # 3 assignments: h(0) = 0, then h(1) = 1 forces h(2) = 2 and is cut
     # before h(3), still on Z/5
     with pytest.raises(BudgetExceeded) as info:
