@@ -385,3 +385,97 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"table": []}
+
+
+# the exact bytes of the pretty renderers, the generic pretty JSON and --out
+def test_eval_pretty_output(capsys):
+    code, out = run_cli(
+        capsys,
+        "eval", "--p", "5", "--K", "3",
+        "--spec", '{"family":"mul","s":3,"a":"1","A":"1"}', "--x", "2", "--pretty",
+    )
+    assert code == 0
+    assert out == "f(2) = 123  digits(LE) [3, 4, 4]\n"
+
+
+def test_verify_pretty_output(capsys):
+    code, out = run_cli(capsys, "verify", "--p", "2", "--k", "2", "--pretty")
+    assert code == 2
+    assert out == (
+        'PASS  family-matches-oracle-plus  {"enumerated": 2, "family": 2}\n'
+        'PASS  count-formula-plus  {"count": 2, "expected": 2}\n'
+        'PASS  family-matches-oracle-xor  {"enumerated": 2, "family": 2}\n'
+        'PASS  count-formula-xor  {"count": 2, "expected": 2}\n'
+        'PASS  family-matches-oracle-and  {"enumerated": 1, "family": 1}\n'
+        'PASS  count-formula-and  {"count": 1, "expected": 1}\n'
+        "PASS  family-vs-oracle-times-report  "
+        '{"enumerated": 1, "equal": true, "extra": 0, "family": 1, "missing": 0}\n'
+        "FAIL  trivial-pairs  "
+        '{"counts": {"plus+and": 1, "plus+times": 1, "plus+xor": 2, '
+        '"times+and": 1, "times+xor": 1, "xor+and": 1}}\n'
+        "PASS  criterion-equivalence  "
+        '{"disagreements": 0, "measure_preserving_seen": 165, "samples": 300}\n'
+        "FAILURES PRESENT (p=2, k=2, seed=0)\n"
+    )
+
+
+def test_report_pretty_output(tmp_path, capsys):
+    paths = []
+    for name, data in [
+        ("a", {"p": 3, "k": 2, "ops": ["plus"], "count": 6}),
+        ("b", {"p": 2, "k": 3, "ops": ["xor", "and"], "count": 8}),
+    ]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        paths.append(str(path))
+    code, out = run_cli(capsys, "report", "--in", *paths, "--pretty")
+    assert code == 0
+    assert out == "p=2 k=3 ops=xor+and count=8\np=3 k=2 ops=plus count=6\n"
+    code, out = run_cli(capsys, "report", "--pretty")
+    assert code == 0 and out == "(empty)\n"
+
+
+@pytest.mark.parametrize(
+    "gamma,verdict", [("[1,0,1]", "sides differ at [0, 2]"), ("[0,0,0]", "equal")]
+)
+def test_cipher_demo_pretty_output(capsys, gamma, verdict):
+    code, out = run_cli(
+        capsys,
+        "cipher", "demo", "--pretty",
+        "--key", '{"kind":"keystream","p":2,"gamma":%s}' % gamma,
+        "--formula", '["xor",["leaf",0],["leaf",1]]',
+        "--data", '[{"p":2,"symbols":[1,0,1]},{"p":2,"symbols":[0,1,1]}]',
+    )
+    assert code == 0
+    encrypted = "[0, 1, 1]" if verdict != "equal" else "[1, 1, 0]"
+    assert out == (
+        "plain result     : [1, 1, 0]\n"
+        f"encrypt(result)  : {encrypted}\n"
+        "formula(cipher)  : [1, 1, 0]\n"
+        f"verdict          : {verdict}\n"
+    )
+
+
+MAKE_AUT_AND = ["make-aut", "--p", "2", "--K", "2", "--spec", '{"family":"and","s_list":[1,1]}']
+
+
+def test_pretty_json_without_renderer(capsys):
+    code, out = run_cli(capsys, *MAKE_AUT_AND, "--pretty")
+    assert code == 0
+    assert out == (
+        '{\n  "K": 2,\n  "p": 2,\n  "provenance": "and",\n'
+        '  "table": [\n    0,\n    1,\n    2,\n    3\n  ]\n}\n'
+    )
+    code, out = run_cli(capsys, *MAKE_AUT_AND)
+    assert code == 0
+    assert out == '{"K":2,"p":2,"provenance":"and","table":[0,1,2,3]}\n'
+
+
+@pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, pretty):
+    flags = ["--pretty"] if pretty else []
+    _, expected = run_cli(capsys, "verify", "--p", "2", "--k", "2", *flags)
+    out_path = tmp_path / "verify.txt"
+    code, out = run_cli(capsys, "verify", "--p", "2", "--k", "2", *flags, "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert out_path.read_text() == expected
