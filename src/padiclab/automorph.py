@@ -81,8 +81,8 @@ class CustomOp:
         self.linear_y = self._coerce(linear_y)
         cleaned = []
         for i, j, coeff in terms:
-            if i < 0 or j < 0 or i + j < 2:
-                raise ValueError(f"term exponents ({i},{j}) must be >= 0 with i+j >= 2")
+            if type(i) is not int or type(j) is not int or i < 0 or j < 0 or i + j < 2:
+                raise ValueError(f"term exponents ({i!r},{j!r}) must be ints >= 0 with i+j >= 2")
             coeff = self._coerce(coeff)
             if coeff.value != 0:
                 cleaned.append((i, j, coeff))
@@ -169,8 +169,8 @@ class MulSpec:
         ctx = self.a.ctx
         if self.A.ctx != ctx:
             raise ContextMismatch(f"{ctx} vs {self.A.ctx}")
-        if not (1 <= self.s <= ctx.p - 1):
-            raise ValueError(f"s must lie in [1, {ctx.p - 1}], got {self.s}")
+        if type(self.s) is not int or not 1 <= self.s <= ctx.p - 1:
+            raise ValueError(f"s = {self.s!r}, expected an int in [1, {ctx.p - 1}]")
         if math.gcd(self.s, ctx.p - 1) != 1:
             raise ValueError(f"s={self.s} must be coprime to p-1={ctx.p - 1}")
         _require_unit(self.a, "a")
@@ -197,9 +197,9 @@ class XorSpec:
         for k, row in enumerate(self.alpha):
             if len(row) != k + 1:
                 raise ValueError(f"row {k} must have {k + 1} entries, got {len(row)}")
-            for c in row:
-                if not (0 <= c < ctx.p):
-                    raise ValueError(f"coefficient {c} outside [0, {ctx.p})")
+            for i, c in enumerate(row):
+                if type(c) is not int or not 0 <= c < ctx.p:
+                    raise ValueError(f"alpha[{k}][{i}] = {c!r}, expected an int in [0, {ctx.p})")
             if row[k] % ctx.p == 0:
                 raise ValueError(f"diagonal coefficient of row {k} must be nonzero")
 
@@ -223,9 +223,9 @@ class AndSpec:
             raise ValueError(
                 f"need {ctx.precision} exponents, got {len(self.exponents)}"
             )
-        for e in self.exponents:
-            if not (1 <= e <= ctx.p - 1):
-                raise ValueError(f"exponent {e} outside [1, {ctx.p - 1}]")
+        for i, e in enumerate(self.exponents):
+            if type(e) is not int or not 1 <= e <= ctx.p - 1:
+                raise ValueError(f"s_list[{i}] = {e!r}, expected an int in [1, {ctx.p - 1}]")
             if math.gcd(e, ctx.p - 1) != 1:
                 raise ValueError(f"exponent {e} not coprime to p-1={ctx.p - 1}")
 
@@ -255,7 +255,7 @@ def aut_spec_from_json(ctx: PrimeContext, data: dict) -> AutSpec:
         return AddSpec(padic_from_json(ctx, data["A"]))
     if family == "mul":
         return MulSpec(
-            int(data["s"]),
+            data["s"],
             padic_from_json(ctx, data["a"]),
             padic_from_json(ctx, data["A"]),
         )
@@ -397,13 +397,13 @@ def is_homomorphism(
     return HomReport(True, None, "random", samples)
 
 
-def is_automorphism(f: LipschitzFn, ops, *, seed: int = 0) -> bool:
+def is_automorphism(f: LipschitzFn, ops) -> bool:
     """Tower-compatible (by construction) + bijective at every level + a
     homomorphism for every listed operation."""
     for k in range(1, f.ctx.precision + 1):
         if not is_bijective_mod(f, k):
             return False
-    return all(is_homomorphism(f, op, seed=seed).ok for op in ops)
+    return all(is_homomorphism(f, op).ok for op in ops)
 
 
 # ---------------------------------------------------------------------------

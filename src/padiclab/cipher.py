@@ -23,6 +23,15 @@ from .lipschitz import LipschitzFn
 from .automorph import Operation, operation_by_name
 
 
+def _check_symbols(p: int, symbols: tuple, field: str) -> None:
+    """A prime int alphabet size, and every symbol an int in [0, p)."""
+    if type(p) is not int or not is_prime(p):  # bools and floats are not ints here
+        raise ValueError(f"alphabet size must be a prime int, got {p!r}")
+    for i, s in enumerate(symbols):
+        if type(s) is not int or not 0 <= s < p:
+            raise ValueError(f"{field}[{i}] = {s!r}, expected an int in [0, {p})")
+
+
 @dataclass(frozen=True)
 class Word:
     """Finite word over the alphabet {0, ..., p-1}; symbol 0 is the units digit."""
@@ -32,13 +41,9 @@ class Word:
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", tuple(self.symbols))
-        if not is_prime(self.p):
-            raise ValueError(f"alphabet size must be prime, got {self.p}")
+        _check_symbols(self.p, self.symbols, "symbols")
         if len(self.symbols) < 1:
             raise ValueError("words have length >= 1")
-        for s in self.symbols:
-            if not (0 <= s < self.p):
-                raise ValueError(f"symbol {s} outside [0, {self.p})")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -92,10 +97,11 @@ def word_op(x: Word, y: Word, op: "Operation | str") -> Word:
 # ---------------------------------------------------------------------------
 
 
-def _check_permutation(p: int, table) -> tuple[int, ...]:
+def _check_permutation(p: int, table, field: str) -> tuple[int, ...]:
     table = tuple(table)
-    if sorted(table) != list(range(p)):
-        raise ValueError(f"{table} is not a permutation of [0, {p})")
+    _check_symbols(p, table, field)
+    if len(table) != p or len(set(table)) != p:
+        raise ValueError(f"{field} is not a permutation of [0, {p})")
     return table
 
 
@@ -107,7 +113,7 @@ class SubstitutionKey:
     table: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "table", _check_permutation(self.p, self.table))
+        object.__setattr__(self, "table", _check_permutation(self.p, self.table, "g"))
 
     kind = "subst"
 
@@ -133,7 +139,9 @@ class SubstitutionStreamKey:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "tables", tuple(_check_permutation(self.p, t) for t in self.tables)
+            self,
+            "tables",
+            tuple(_check_permutation(self.p, t, f"gs[{i}]") for i, t in enumerate(self.tables)),
         )
         if not self.tables:
             raise ValueError("need at least one permutation")
@@ -164,9 +172,7 @@ class KeystreamKey:
         object.__setattr__(self, "gamma", tuple(self.gamma))
         if not self.gamma:
             raise ValueError("need at least one key symbol")
-        for g in self.gamma:
-            if not (0 <= g < self.p):
-                raise ValueError(f"key symbol {g} outside [0, {self.p})")
+        _check_symbols(self.p, self.gamma, "gamma")
 
     kind = "keystream"
 
@@ -261,9 +267,9 @@ def parse_formula(nested) -> FormulaTree:
         raise ValueError(f"malformed formula node: {nested!r}")
     head = nested[0]
     if head == "leaf":
-        if len(nested) != 2:
-            raise ValueError(f"leaf takes one index: {nested!r}")
-        return Leaf(int(nested[1]))
+        if len(nested) != 2 or type(nested[1]) is not int:
+            raise ValueError(f"leaf takes one int index: {nested!r}")
+        return Leaf(nested[1])
     if len(nested) != 3:
         raise ValueError(f"operation node takes two children: {nested!r}")
     operation_by_name(head)  # validates the name

@@ -3,7 +3,8 @@
 Output is deterministic JSON by default (sorted keys, no timestamps) so two
 runs with the same inputs and seed are byte-identical; ``--pretty`` switches
 to a human-readable rendering.  Exit codes: 0 success / all claims pass,
-1 validation error, 2 claim failure, 3 search budget exceeded.
+1 validation error (usage errors included), 2 claim failure, 3 search
+budget exceeded; ``main`` alone prints a result and picks the code.
 """
 
 from __future__ import annotations
@@ -60,16 +61,15 @@ def _load_json_arg(text: str):
     return json.loads(text)
 
 
-def _emit(data, args, pretty_renderer=None) -> None:
-    if getattr(args, "pretty", False) and pretty_renderer is not None:
-        text = pretty_renderer(data)
-    elif getattr(args, "pretty", False):
+def _emit(data, args, renderer) -> None:
+    if args.pretty and renderer is not None:
+        text = renderer(data)
+    elif args.pretty:
         text = json.dumps(data, sort_keys=True, indent=2) + "\n"
     else:
         text = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -86,87 +86,73 @@ def _function_from_spec(ctx: PrimeContext, spec) -> LipschitzFn:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (payload, pretty renderer or None); main prints
+# the payload and picks the exit code
 # ---------------------------------------------------------------------------
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args):
     ctx = PrimeContext(args.p, args.K)
     fn = _function_from_spec(ctx, _load_json_arg(args.spec))
     x = args.x % ctx.modulus
     value = fn(x)
-    _emit(
-        {
-            "p": ctx.p,
-            "K": ctx.precision,
-            "x": x,
-            "value": value,
-            "digits": list(ctx.digits_of(value)),
-        },
-        args,
-        lambda d: f"f({d['x']}) = {d['value']}  digits(LE) {d['digits']}\n",
-    )
-    return EXIT_OK
+    payload = {
+        "p": ctx.p,
+        "K": ctx.precision,
+        "x": x,
+        "value": value,
+        "digits": list(ctx.digits_of(value)),
+    }
+    return payload, lambda d: f"f({d['x']}) = {d['value']}  digits(LE) {d['digits']}\n"
 
 
-def cmd_vdp(args) -> int:
+def cmd_vdp(args):
     data = _load_json_arg(args.infile)
     if args.inverse:
         fn = vdp_inverse(series_from_json(data))
-        _emit(fn_to_json(fn), args)
-    else:
-        series = vdp_transform(fn_from_json(data))
-        _emit(series.to_json(), args)
-    return EXIT_OK
+        return fn_to_json(fn), None
+    series = vdp_transform(fn_from_json(data))
+    return series.to_json(), None
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     data = _load_json_arg(args.infile)
     ctx = PrimeContext(data["p"], data["K"])
     try:
         fn = LipschitzFn.from_table(ctx, data["table"], data.get("provenance"))
     except CompatibilityViolation as violation:
-        _emit(
-            {
-                "p": ctx.p,
-                "K": ctx.precision,
-                "tower_compatible": False,
-                "violation": {
-                    "x": violation.x,
-                    "y": violation.y,
-                    "level": violation.level,
-                },
+        return {
+            "p": ctx.p,
+            "K": ctx.precision,
+            "tower_compatible": False,
+            "violation": {
+                "x": violation.x,
+                "y": violation.y,
+                "level": violation.level,
             },
-            args,
-        )
-        return EXIT_OK
+        }, None
     vdp_report = preserves_measure_vdp(fn)
     coord_report = preserves_measure_coord(fn)
     bijective = all(is_bijective_mod(fn, k) for k in range(1, ctx.precision + 1))
-    _emit(
-        {
-            "p": ctx.p,
-            "K": ctx.precision,
-            "tower_compatible": True,
-            "measure_preserving_vdp": vdp_report.ok,
-            "vdp_failure": list(vdp_report.failure) if vdp_report.failure else None,
-            "measure_preserving_coord": coord_report.ok,
-            "coord_failure": list(coord_report.failure) if coord_report.failure else None,
-            "bijective_all_levels": bijective,
-        },
-        args,
-    )
-    return EXIT_OK
+    return {
+        "p": ctx.p,
+        "K": ctx.precision,
+        "tower_compatible": True,
+        "measure_preserving_vdp": vdp_report.ok,
+        "vdp_failure": list(vdp_report.failure) if vdp_report.failure else None,
+        "measure_preserving_coord": coord_report.ok,
+        "coord_failure": list(coord_report.failure) if coord_report.failure else None,
+        "bijective_all_levels": bijective,
+    }, None
 
 
-def cmd_make_aut(args) -> int:
+def cmd_make_aut(args):
     ctx = PrimeContext(args.p, args.K)
     fn = realize(aut_spec_from_json(ctx, _load_json_arg(args.spec)))
-    _emit(fn_to_json(fn), args)
-    return EXIT_OK
+    return fn_to_json(fn), None
 
 
-def cmd_check_hom(args) -> int:
+def cmd_check_hom(args):
     fn = fn_from_json(_load_json_arg(args.infile))
     results = []
     for name in args.ops.split(","):
@@ -182,31 +168,26 @@ def cmd_check_hom(args) -> int:
                 "checked": report.checked,
             }
         )
-    _emit(
-        {"p": fn.ctx.p, "K": fn.ctx.precision, "seed": args.seed, "results": results},
-        args,
-    )
-    return EXIT_OK
+    return {"p": fn.ctx.p, "K": fn.ctx.precision, "seed": args.seed, "results": results}, None
 
 
-def cmd_analyze_g(args) -> int:
+def cmd_analyze_g(args):
     ctx = PrimeContext(args.p, args.K)
     op = CustomOp.from_json(ctx, _load_json_arg(args.g))
     report = analyze_custom_op(op)
-    _emit({"p": ctx.p, "K": ctx.precision, **report.to_json()}, args)
-    return EXIT_OK
+    return {"p": ctx.p, "K": ctx.precision, **report.to_json()}, None
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args):
     ctx = PrimeContext(args.p, args.k)
     ops = [name.strip() for name in args.ops.split(",")]
     result = enumerate_automorphisms(ctx, ops, node_budget=args.budget)
-    _emit(result.to_json(), args)
-    return EXIT_OK
+    return result.to_json(), None
 
 
-def _criterion_equivalence_sample(p: int, k: int, seed: int, samples: int) -> dict:
+def _criterion_equivalence_sample(p: int, k: int, seed: int) -> dict:
     ctx = PrimeContext(p, k)
+    samples = 300
     rng = random.Random(seed)
     disagreements = 0
     preserving = 0
@@ -229,7 +210,7 @@ def _criterion_equivalence_sample(p: int, k: int, seed: int, samples: int) -> di
     }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     p, k, seed = args.p, args.k, args.seed
     ctx = PrimeContext(p, k)
     claims = []
@@ -290,7 +271,7 @@ def cmd_verify(args) -> int:
         }
     )
 
-    equivalence = _criterion_equivalence_sample(p, k, seed, samples=300)
+    equivalence = _criterion_equivalence_sample(p, k, seed)
     claims.append(
         {
             "name": "criterion-equivalence",
@@ -313,11 +294,10 @@ def cmd_verify(args) -> int:
         )
         return "\n".join(lines) + "\n"
 
-    _emit(payload, args, render)
-    return EXIT_OK if all_pass else EXIT_CLAIM_FAILURE
+    return payload, render
 
 
-def cmd_report(args) -> int:
+def cmd_report(args):
     rows = []
     for path in args.infiles:
         data = _load_json_arg("@" + path)
@@ -330,39 +310,30 @@ def cmd_report(args) -> int:
             }
         )
     rows.sort(key=lambda r: (r["p"], r["k"], r["ops"]))
-    _emit(
-        {"table": rows},
-        args,
-        lambda d: "".join(
-            f"p={r['p']} k={r['k']} ops={r['ops']} count={r['count']}\n"
-            for r in d["table"]
-        )
-        or "(empty)\n",
-    )
-    return EXIT_OK
+    return {"table": rows}, lambda d: "".join(
+        f"p={r['p']} k={r['k']} ops={r['ops']} count={r['count']}\n" for r in d["table"]
+    ) or "(empty)\n"
 
 
-def cmd_cipher(args) -> int:
+def cmd_cipher(args):
+    if args.action in ("encrypt", "decrypt") and not args.word:
+        raise ValueError("--word is required for encrypt/decrypt")
+    if args.action == "demo" and not (args.formula and args.data):
+        raise ValueError("--formula and --data are required for demo")
     key = cipher_mod.key_from_json(_load_json_arg(args.key))
     if args.action in ("encrypt", "decrypt"):
         word = cipher_mod.word_from_json(_load_json_arg(args.word))
         fn = cipher_mod.encrypt if args.action == "encrypt" else cipher_mod.decrypt
-        _emit(fn(word, key).to_json(), args)
-        return EXIT_OK
+        return fn(word, key).to_json(), None
     formula = cipher_mod.parse_formula(_load_json_arg(args.formula))
     data = [cipher_mod.word_from_json(w) for w in _load_json_arg(args.data)]
     demo = cipher_mod.homomorphic_eval(formula, data, key)
-    _emit(
-        demo.to_json(),
-        args,
-        lambda d: (
-            f"plain result     : {d['plain_result']['symbols']}\n"
-            f"encrypt(result)  : {d['encrypted_plain_result']['symbols']}\n"
-            f"formula(cipher)  : {d['cipher_result']['symbols']}\n"
-            f"verdict          : {'equal' if d['equal'] else 'sides differ at ' + str(d['mismatch_positions'])}\n"
-        ),
+    return demo.to_json(), lambda d: (
+        f"plain result     : {d['plain_result']['symbols']}\n"
+        f"encrypt(result)  : {d['encrypted_plain_result']['symbols']}\n"
+        f"formula(cipher)  : {d['cipher_result']['symbols']}\n"
+        f"verdict          : {'equal' if d['equal'] else 'sides differ at ' + str(d['mismatch_positions'])}\n"
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +341,13 @@ def cmd_cipher(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is malformed input: main reports it
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="padiclab",
         description="Exact p-adic integer laboratory: evaluate, verify, enumerate, demo.",
     )
@@ -455,22 +431,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "cipher":
-        if args.action in ("encrypt", "decrypt") and not args.word:
-            parser.error("--word is required for encrypt/decrypt")
-        if args.action == "demo" and not (args.formula and args.data):
-            parser.error("--formula and --data are required for demo")
     try:
-        return args.func(args)
+        args = _build_parser().parse_args(argv)
+        payload, renderer = args.func(args)
+        _emit(payload, args, renderer)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except Exception as exc:  # malformed input of any shape: one line, no traceback
+    except Exception as exc:  # malformed input or usage: one line, no traceback
         message = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         print(f"error: {message}", file=sys.stderr)
         return EXIT_VALIDATION
+    return EXIT_CLAIM_FAILURE if payload.get("all_pass") is False else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -90,8 +90,8 @@ class PrimeContext:
             raise ValueError(f"got {len(digits)} digits, precision is {self.precision}")
         value = 0
         for i, d in enumerate(digits):
-            if not (0 <= d < self.p):
-                raise ValueError(f"digit {d} at position {i} not in [0, {self.p})")
+            if type(d) is not int or not 0 <= d < self.p:
+                raise ValueError(f"digit {d!r} at position {i}, expected an int in [0, {self.p})")
             value += d * self.p**i
         return value
 
@@ -271,7 +271,7 @@ def padic_from_json(ctx: PrimeContext, data) -> PadicInt:
         if not (0 <= value < ctx.modulus):
             raise ValueError(f"residue {value} outside [0, {ctx.modulus})")
         return ctx.integer(value)
-    if isinstance(data, int):
+    if type(data) is int:  # not a bool
         return ctx.integer(data)
     raise ValueError(f"cannot decode p-adic value from {data!r}")
 

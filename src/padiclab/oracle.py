@@ -112,10 +112,11 @@ def enumerate_automorphisms(
     differs from the value already there cuts the branch.
 
     The level-(j+1) maps form a union of cosets.  The search runs once in
-    full from the identity on Z/p**j to collect the kernel ``K_{j+1}``, then
-    once per map ``g`` of level j, stopping at its first lift ``h_g`` (a
-    ``g`` with no lift drops out), and the next level is every ``h_g o
-    kappa`` with ``kappa`` in ``K_{j+1}``.  This is exact: composites and
+    full from the identity on Z/p**j to collect the kernel ``K_{j+1}``,
+    whose first map is the identity's lift, then once per other map ``g``
+    of level j, stopping at its first lift ``h_g`` (a ``g`` with no lift
+    drops out), and the next level is every ``h_g o kappa`` with ``kappa``
+    in ``K_{j+1}``.  This is exact: composites and
     inverses of bijective homomorphisms are homomorphisms, and reduction
     mod p**j respects composition, so the level-(j+1) maps form a group,
     reduction is a homomorphism from it, and any other lift ``f`` of ``g``
@@ -226,11 +227,16 @@ def enumerate_automorphisms(
 
     group: list[tuple[int, ...]] = [(0,)]
     for j in range(k):
+        # group[0] is the identity, and so is the kernel's first solution:
+        # the search branches on the smallest unassigned argument and tries
+        # its smallest free value first, so solutions come in lexicographic
+        # order, and the identity is the least table there is.  It is also
+        # the identity's first lift, so that search is not run again.
         known = 0
-        kernel = extend(j, range(p**j), False)
+        kernel = extend(j, group[0], False)
         known = len(kernel)  # the identity's coset
-        lifts = []
-        for g in group:
+        lifts = kernel[:1]
+        for g in group[1:]:
             lifts.extend(extend(j, g, True))
             known = len(lifts) * len(kernel)
             if known * p ** (j + 1) > MAX_TABLE_SIZE:
@@ -342,12 +348,11 @@ class SetComparison:
         }
 
 
-def compare_with_family(result: EnumerationResult, family: str | None = None) -> SetComparison:
-    """Set-compare an enumeration against the matching parametric family."""
-    if family is None:
-        if len(result.ops) != 1:
-            raise ValueError("family can only be inferred for single-operation results")
-        family = OP_TO_FAMILY[result.ops[0]]
+def compare_with_family(result: EnumerationResult) -> SetComparison:
+    """Set-compare a single-operation enumeration against its parametric family."""
+    if len(result.ops) != 1:
+        raise ValueError("family can only be inferred for single-operation results")
+    family = OP_TO_FAMILY[result.ops[0]]
     ctx = PrimeContext(result.p, result.k)
     realized = family_tables(ctx, family)
     enumerated = set(result.automorphisms)
@@ -396,9 +401,7 @@ class TrivialPairsReport:
     nodes: int
 
 
-def verify_trivial_pairs(
-    p: int, k: int, *, node_budget: int = DEFAULT_NODE_BUDGET
-) -> TrivialPairsReport:
+def verify_trivial_pairs(p: int, k: int) -> TrivialPairsReport:
     """Enumerate all six two-operation systems and report the witnesses.
 
     At full precision every such automorphism group collapses to the
@@ -411,7 +414,7 @@ def verify_trivial_pairs(
     reports = []
     total_nodes = 0
     for pair in OPERATION_PAIRS:
-        result = enumerate_automorphisms(ctx, pair, node_budget=node_budget)
+        result = enumerate_automorphisms(ctx, pair)
         total_nodes += result.nodes
         non_identity = [t for t in result.automorphisms if t != identity]
         reports.append(

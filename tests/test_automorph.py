@@ -73,6 +73,31 @@ def test_and_spec_validation():
     AndSpec(c, [3, 1])
 
 
+
+def test_spec_fields_must_be_ints():
+    c = PrimeContext(5, 2)
+    one = c.integer(1)
+    cases = [
+        (lambda: MulSpec(True, one, one), "s = True, expected an int in [1, 4]"),
+        (lambda: MulSpec(1.9, one, one), "s = 1.9, expected an int in [1, 4]"),
+        (lambda: XorSpec(c, [[1], [0, True]]), "alpha[1][1] = True, expected an int in [0, 5)"),
+        (lambda: AndSpec(c, [1, 3.0]), "s_list[1] = 3.0, expected an int in [1, 4]"),
+        (
+            lambda: aut_spec_from_json(c, {"family": "mul", "s": "3", "a": "1", "A": "1"}),
+            "s = '3', expected an int in [1, 4]",
+        ),
+        (lambda: aut_spec_from_json(c, {"family": "add", "A": True}), "cannot decode p-adic value from True"),
+        (
+            lambda: CustomOp.from_json(c, {"terms": [[True, 4, "1"]]}),
+            "term exponents (True,4) must be ints >= 0 with i+j >= 2",
+        ),
+    ]
+    for make, message in cases:
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # realization
 # ---------------------------------------------------------------------------

@@ -51,6 +51,31 @@ def test_word_validation():
         Word(4, (1,))
 
 
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: Word(3, (True, 1)), "symbols[0] = True, expected an int in [0, 3)"),
+        (lambda: Word(3, (2, 1.0)), "symbols[1] = 1.0, expected an int in [0, 3)"),
+        (lambda: Word(3.0, (2, 1)), "alphabet size must be a prime int, got 3.0"),
+        (lambda: KeystreamKey(3, (1, False)), "gamma[1] = False, expected an int in [0, 3)"),
+        (lambda: KeystreamKey(3.0, (1, 0)), "alphabet size must be a prime int, got 3.0"),
+        (lambda: SubstitutionKey(3, (2.0, 0, 1)), "g[0] = 2.0, expected an int in [0, 3)"),
+        (lambda: SubstitutionKey(3, (2, 0)), "g is not a permutation of [0, 3)"),
+        (
+            lambda: SubstitutionStreamKey(3, ((0, 1, 2), (0, True, 2))),
+            "gs[1][1] = True, expected an int in [0, 3)",
+        ),
+        (lambda: parse_formula(["leaf", 0.7]), "leaf takes one int index: ['leaf', 0.7]"),
+    ],
+)
+def test_bools_and_floats_are_not_symbols(make, message):
+    # True == 1 and 1.0 == 1 pass a range check, so the type is checked first
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
 def test_word_op_examples():
     assert word_op(Word(3, (1, 2)), Word(3, (2, 0)), "plus") == Word(3, (0, 0))
     x = Word(5, (3, 1, 4))

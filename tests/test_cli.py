@@ -157,15 +157,16 @@ def test_enumerate_budget_exit_code(capsys):
 
 
 def test_enumerate_budget_error_is_one_line(capsys):
-    # 26 assignments on Z/5, 125 for the kernel on Z/25 and 25 per first
-    # lift: node 201 is the last value of the lift of x -> 2x, when only the
-    # identity's coset (the 5 maps x -> Ax with A = 1 mod 5) is known
+    # 21 assignments on Z/5, 125 for the kernel on Z/25 (whose first map is
+    # the identity's lift) and 25 per other first lift: node 201 falls inside
+    # the lift of x -> 4x, when the cosets of the identity, 2x and 3x (3 x 5
+    # maps x -> Ax) are known
     code = main(["enumerate", "--p", "5", "--k", "2", "--ops", "plus", "--budget", "200"])
     err = capsys.readouterr().err
     assert code == 3
     assert err.splitlines() == [
         "error: search expanded 201 nodes, budget 200; stopped at level 2 "
-        "(maps mod p**2) with 5 complete maps found"
+        "(maps mod p**2) with 15 complete maps found"
     ]
 
 
@@ -250,12 +251,53 @@ def test_malformed_input_is_one_error_line(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+# usage errors are validation errors: exit 1, one error line, no usage dump
+USAGE_ERRORS = [
+    (["verify", "--p", "7"], "error: the following arguments are required: --k"),
+    (["verify", "--p", "x", "--k", "2"], "error: argument --p: invalid int value: 'x'"),
+    (["nope"], "error: argument command: invalid choice: 'nope' (choose from 'eval', "
+     "'vdp', 'check', 'make-aut', 'check-hom', 'analyze-g', 'enumerate', 'verify', "
+     "'report', 'cipher')"),
+    (
+        ["cipher", "encrypt", "--key", '{"kind":"keystream","p":3,"gamma":[1,0]}'],
+        "error: --word is required for encrypt/decrypt",
+    ),
+    (
+        ["cipher", "demo", "--key", '{"kind":"keystream","p":3,"gamma":[1,0]}', "--data", "[]"],
+        "error: --formula and --data are required for demo",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    USAGE_ERRORS,
+    ids=["missing-flag", "bad-int", "unknown-command", "encrypt-no-word", "demo-no-formula"],
+)
+def test_usage_error_is_one_error_line(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: padiclab verify")
+
+
 def test_missing_key_is_named(capsys):
     assert main(["vdp", "--inverse", "--in", '{"p":2,"K":1}']) == 1
     assert capsys.readouterr().err == "error: missing key 'B'\n"
 
 
 # floats, bools and strings where the JSON needs an int, named by field
+KEY_3 = '{"kind":"keystream","p":3,"gamma":[1,0]}'
+WORDS_3 = '[{"p":3,"symbols":[1,2]}]'
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -272,6 +314,69 @@ def test_missing_key_is_named(capsys):
         (
             ["vdp", "--inverse", "--in", '{"p":2,"K":1,"B":[0.5,1]}'],
             "error: B[0] = 0.5, expected an int",
+        ),
+        (
+            [
+                "cipher", "encrypt", "--key", '{"kind":"keystream","p":3,"gamma":[true,0.0]}',
+                "--word", '{"p":3,"symbols":[2,1]}',
+            ],
+            "error: gamma[0] = True, expected an int in [0, 3)",
+        ),
+        (
+            ["cipher", "encrypt", "--key", KEY_3, "--word", '{"p":3,"symbols":[true,1]}'],
+            "error: symbols[0] = True, expected an int in [0, 3)",
+        ),
+        (
+            ["cipher", "decrypt", "--key", KEY_3, "--word", '{"p":3.0,"symbols":[2,1]}'],
+            "error: alphabet size must be a prime int, got 3.0",
+        ),
+        (
+            [
+                "cipher", "encrypt", "--key", '{"kind":"subst","p":3,"g":[2,true,0]}',
+                "--word", '{"p":3,"symbols":[2,1]}',
+            ],
+            "error: g[1] = True, expected an int in [0, 3)",
+        ),
+        (
+            [
+                "cipher", "encrypt", "--key", '{"kind":"subst_stream","p":3,"gs":[[0,1,2],[2,1.0,0]]}',
+                "--word", '{"p":3,"symbols":[2,1]}',
+            ],
+            "error: gs[1][1] = 1.0, expected an int in [0, 3)",
+        ),
+        (
+            ["cipher", "demo", "--key", KEY_3, "--formula", '["leaf",0.7]', "--data", WORDS_3],
+            "error: leaf takes one int index: ['leaf', 0.7]",
+        ),
+        (
+            ["cipher", "demo", "--key", KEY_3, "--formula", '["leaf",true]', "--data", WORDS_3],
+            "error: leaf takes one int index: ['leaf', True]",
+        ),
+        (
+            ["eval", "--p", "5", "--K", "2", "--spec", '{"family":"add","A":true}', "--x", "3"],
+            "error: cannot decode p-adic value from True",
+        ),
+        (
+            [
+                "eval", "--p", "5", "--K", "2",
+                "--spec", '{"family":"add","A":{"digits":[1,true]}}', "--x", "3",
+            ],
+            "error: digit True at position 1, expected an int in [0, 5)",
+        ),
+        (
+            [
+                "eval", "--p", "5", "--K", "2",
+                "--spec", '{"family":"mul","s":1.9,"a":"1","A":"1"}', "--x", "3",
+            ],
+            "error: s = 1.9, expected an int in [1, 4]",
+        ),
+        (
+            ["make-aut", "--p", "5", "--K", "2", "--spec", '{"family":"xor","alpha":[[1],[0,true]]}'],
+            "error: alpha[1][1] = True, expected an int in [0, 5)",
+        ),
+        (
+            ["make-aut", "--p", "5", "--K", "2", "--spec", '{"family":"and","s_list":[1,3.0]}'],
+            "error: s_list[1] = 3.0, expected an int in [1, 4]",
         ),
     ],
 )

@@ -380,6 +380,10 @@ def test_padic_json_roundtrip():
         padic_from_json(ctx, "125")  # out of range for decimal strings
     with pytest.raises(ContextMismatch):
         padic_from_json(ctx, {"p": 3, "K": 3, "digits": [1]})
+    # bools compare equal to 0 and 1, floats to their integer values
+    for bad in (True, 2.0, {"digits": [2, True]}, {"digits": [2.0]}):
+        with pytest.raises(ValueError):
+            padic_from_json(ctx, bad)
 
 
 def test_padicint_is_hashable_value_type():

@@ -338,17 +338,19 @@ def test_budget_exceeded_is_raised_not_truncated():
 def test_budget_exceeded_reports_progress():
     # 201 assignments. Z/5: the kernel search tries h(0) = 0..4 (four are
     # cut at once, since h(0 + 0) must be h(0) + h(0)) and finds the 4 maps
-    # x -> Ax, each h(1) = A forcing h(2), h(3), h(4): 5 + 16; the first
-    # lift of the one map on Z/1 takes 5 more, 26 in all. Z/25: the kernel
-    # search tries h(0) = 0, 5, .., 20 and finds the 5 maps x -> Ax with
-    # A = 1 mod 5, each h(1) forcing the other 23 values: 5 + 120 = 125;
-    # each first lift takes 25. The cut falls on the last value of the lift
-    # of x -> 2x (26 + 125 + 25 + 25 = 201), so only the identity's coset,
-    # 5 maps, is known
+    # x -> Ax, each h(1) = A forcing h(2), h(3), h(4): 5 + 16 = 21; the one
+    # map on Z/1 is the identity, whose first lift is the kernel's first
+    # map, so no lift is searched. Z/25: the kernel search tries h(0) = 0,
+    # 5, .., 20 and finds the 5 maps x -> Ax with A = 1 mod 5, each h(1)
+    # forcing the other 23 values: 5 + 120 = 125; the identity's lift is
+    # again the kernel's first map, and each other first lift takes 25. The
+    # lifts of x -> 2x and x -> 3x bring the count to 21 + 125 + 25 + 25 =
+    # 196, so node 201 falls inside the lift of x -> 4x, when 3 lifts times
+    # 5 kernel maps, 15 maps, are known
     with pytest.raises(BudgetExceeded) as info:
         enumerate_automorphisms(PrimeContext(5, 2), ["plus"], node_budget=200)
     exc = info.value
-    assert (exc.nodes, exc.budget, exc.level, exc.found) == (201, 200, 2, 5)
+    assert (exc.nodes, exc.budget, exc.level, exc.found) == (201, 200, 2, 15)
     # 3 assignments: h(0) = 0, then h(1) = 1 forces h(2) = 2 and is cut
     # before h(3), still on Z/5
     with pytest.raises(BudgetExceeded) as info:
