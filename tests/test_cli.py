@@ -255,9 +255,8 @@ def test_malformed_input_is_one_error_line(capsys, argv):
 USAGE_ERRORS = [
     (["verify", "--p", "7"], "error: the following arguments are required: --k"),
     (["verify", "--p", "x", "--k", "2"], "error: argument --p: invalid int value: 'x'"),
-    (["nope"], "error: argument command: invalid choice: 'nope' (choose from 'eval', "
-     "'vdp', 'check', 'make-aut', 'check-hom', 'analyze-g', 'enumerate', 'verify', "
-     "'report', 'cipher')"),
+    # argparse's own wording of the choices differs between Python versions
+    (["nope"], "error: argument command: invalid choice: 'nope' (choose from "),
     (
         ["cipher", "encrypt", "--key", '{"kind":"keystream","p":3,"gamma":[1,0]}'],
         "error: --word is required for encrypt/decrypt",
@@ -278,7 +277,8 @@ def test_usage_error_is_one_error_line(capsys, argv, message):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [message]
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), captured.err
 
 
 def test_help_still_exits_0(capsys):
