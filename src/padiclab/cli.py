@@ -214,10 +214,7 @@ def cmd_verify(args):
     p, k, seed = args.p, args.k, args.seed
     ctx = PrimeContext(p, k)
     claims = []
-    groups = {
-        op: enumerate_automorphisms(ctx, [op], node_budget=args.budget)
-        for op in ("plus", "xor", "and", "times")
-    }
+    groups = {op: enumerate_automorphisms(ctx, [op]) for op in ("plus", "xor", "and", "times")}
 
     for op in ("plus", "xor", "and"):
         comparison = compare_with_family(groups[op])
@@ -409,7 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     add_common(sp)
     sp.set_defaults(func=cmd_verify)
 

@@ -157,6 +157,8 @@ class PadicInt:
     __slots__ = ("ctx", "value")
 
     def __init__(self, ctx: PrimeContext, value: int):
+        if type(value) is not int:  # bools and floats are not residues
+            raise ValueError(f"p-adic residue must be an int, got {value!r}")
         self.ctx = ctx
         self.value = value % ctx.modulus
 
@@ -261,19 +263,18 @@ class PadicInt:
 
 
 def padic_from_json(ctx: PrimeContext, data) -> PadicInt:
-    """Decode a value from JSON: digit dict, decimal string, or plain int."""
+    """Decode JSON: a digit dict, or a residue in [0, p**K) as an int or decimal string."""
     if isinstance(data, dict):
         if data.get("p", ctx.p) != ctx.p or data.get("K", ctx.precision) != ctx.precision:
             raise ContextMismatch(f"encoded (p,K) does not match {ctx}")
         return ctx.from_digits(data["digits"])
     if isinstance(data, str):
-        value = int(data, 10)
-        if not (0 <= value < ctx.modulus):
-            raise ValueError(f"residue {value} outside [0, {ctx.modulus})")
-        return ctx.integer(value)
-    if type(data) is int:  # not a bool
-        return ctx.integer(data)
-    raise ValueError(f"cannot decode p-adic value from {data!r}")
+        data = int(data, 10)
+    if type(data) is not int:  # bools and floats
+        raise ValueError(f"cannot decode p-adic value from {data!r}")
+    if not (0 <= data < ctx.modulus):
+        raise ValueError(f"residue {data} outside [0, {ctx.modulus})")
+    return ctx.integer(data)
 
 
 # ---------------------------------------------------------------------------

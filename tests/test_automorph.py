@@ -87,6 +87,7 @@ def test_spec_fields_must_be_ints():
             "s = '3', expected an int in [1, 4]",
         ),
         (lambda: aut_spec_from_json(c, {"family": "add", "A": True}), "cannot decode p-adic value from True"),
+        (lambda: CustomOp(c, 0.5, 1, 1), "p-adic residue must be an int, got 0.5"),
         (
             lambda: CustomOp.from_json(c, {"terms": [[True, 4, "1"]]}),
             "term exponents (True,4) must be ints >= 0 with i+j >= 2",

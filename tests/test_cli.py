@@ -265,13 +265,25 @@ USAGE_ERRORS = [
         ["cipher", "demo", "--key", '{"kind":"keystream","p":3,"gamma":[1,0]}', "--data", "[]"],
         "error: --formula and --data are required for demo",
     ),
+    # a budget below 1 is malformed, not a search that ran out of budget
+    (
+        ["enumerate", "--p", "3", "--k", "2", "--ops", "plus", "--budget", "0"],
+        "error: node budget must be an int >= 1, got 0",
+    ),
+    (
+        ["enumerate", "--p", "3", "--k", "2", "--ops", "plus", "--budget", "-1"],
+        "error: node budget must be an int >= 1, got -1",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,message",
     USAGE_ERRORS,
-    ids=["missing-flag", "bad-int", "unknown-command", "encrypt-no-word", "demo-no-formula"],
+    ids=[
+        "missing-flag", "bad-int", "unknown-command", "encrypt-no-word", "demo-no-formula",
+        "budget-0", "budget-negative",
+    ],
 )
 def test_usage_error_is_one_error_line(capsys, argv, message):
     assert main(argv) == 1
@@ -377,6 +389,14 @@ WORDS_3 = '[{"p":3,"symbols":[1,2]}]'
         (
             ["make-aut", "--p", "5", "--K", "2", "--spec", '{"family":"and","s_list":[1,3.0]}'],
             "error: s_list[1] = 3.0, expected an int in [1, 4]",
+        ),
+        # a plain int and a decimal string share one range check
+        *(
+            (
+                ["eval", "--p", "5", "--K", "2", "--spec", f'{{"family":"add","A":{A}}}', "--x", "3"],
+                f"error: residue {value} outside [0, 25)",
+            )
+            for A, value in [("26", 26), ('"26"', 26), ("-1", -1), ('"-1"', -1)]
         ),
     ],
 )

@@ -376,14 +376,25 @@ def test_padic_json_roundtrip():
     assert padic_from_json(ctx, data) == x
     assert padic_from_json(ctx, "107") == x
     assert padic_from_json(ctx, 107) == x
-    with pytest.raises(ValueError):
-        padic_from_json(ctx, "125")  # out of range for decimal strings
+    # decimal strings and plain ints share one range check
+    for bad in ("125", "-1", 125, -1):
+        with pytest.raises(ValueError, match="outside"):
+            padic_from_json(ctx, bad)
     with pytest.raises(ContextMismatch):
         padic_from_json(ctx, {"p": 3, "K": 3, "digits": [1]})
     # bools compare equal to 0 and 1, floats to their integer values
     for bad in (True, 2.0, {"digits": [2, True]}, {"digits": [2.0]}):
         with pytest.raises(ValueError):
             padic_from_json(ctx, bad)
+
+
+def test_residues_are_ints():
+    ctx = PrimeContext(3, 2)
+    for bad in (0.5, True, 2.0):
+        with pytest.raises(ValueError, match="must be an int"):
+            ctx.integer(bad)
+    with pytest.raises(ValueError, match="got True"):
+        ctx.integer(1) + True
 
 
 def test_padicint_is_hashable_value_type():

@@ -358,6 +358,14 @@ def test_budget_exceeded_reports_progress():
     assert (info.value.nodes, info.value.level, info.value.found) == (4, 1, 0)
 
 
+@pytest.mark.parametrize("budget", [0, -1, True, 1.5])
+def test_budget_below_one_is_malformed(budget):
+    # rejected before any table is built: at p = 65521 one table alone
+    # would exceed the cap, and that error would come first otherwise
+    with pytest.raises(ValueError, match="node budget must be an int >= 1"):
+        enumerate_automorphisms(PrimeContext(65521, 2), ["plus"], node_budget=budget)
+
+
 def test_compare_plus_family():
     result = enumerate_automorphisms(PrimeContext(3, 2), ["plus"])
     comparison = compare_with_family(result)
@@ -435,8 +443,8 @@ def test_trivial_pairs_quotient_counts():
         ("xor", "and"): 1,
     }
     assert not report.all_trivial
-    witness = {r.ops: r.witness for r in report.pairs}[("plus", "xor")]
-    assert witness == tuple(5 * x % 8 for x in range(8))
+    group = {r.ops: r.automorphisms for r in report.pairs}[("plus", "xor")]
+    assert group == (tuple(range(8)), tuple(5 * x % 8 for x in range(8)))
 
     report = verify_trivial_pairs(3, 2)
     counts = {r.ops: r.count for r in report.pairs}
@@ -479,6 +487,35 @@ def test_trivial_pair_extras_do_not_lift():
     identity = tuple(range(9))
     for table in fine.automorphisms:
         assert tuple(v % 9 for v in table[:9]) == identity
+
+
+# every context where the pair searches finish within a second each
+PAIR_REACH = [(2, k) for k in range(2, 8)] + [(3, k) for k in range(2, 6)] + [
+    (5, 2), (5, 3), (7, 2), (7, 3), (11, 2), (13, 2)
+]
+
+
+@pytest.mark.parametrize("p,k", PAIR_REACH)
+def test_plus_xor_keeps_exactly_the_scalings_one_mod_p_to_the_k_minus_1(p, k):
+    # x -> (1 + t*p**(k-1))*x adds t times the lowest digit of x to the top
+    # digit, with its carry above the window, so it is digit-linear too; the
+    # search, the ground truth here, finds no other map
+    n = p**k
+    scalings = sorted(tuple((1 + t * p ** (k - 1)) * x % n for x in range(n)) for t in range(p))
+    result = enumerate_automorphisms(PrimeContext(p, k), ["plus", "xor"])
+    assert result.automorphisms == tuple(scalings)
+
+
+@pytest.mark.parametrize("p,k", PAIR_REACH)
+def test_times_xor_keeps_one_top_bit_flip_at_p2(p, k):
+    # at p = 2 and k >= 3 the identity and the map that flips the top bit
+    # when bit 1 is set; the identity alone at (2,2) and at every odd p
+    n = p**k
+    group = [tuple(range(n))]
+    if p == 2 and k >= 3:
+        group.append(tuple(x ^ (2 ** (k - 1) * ((x >> 1) & 1)) for x in range(n)))
+    result = enumerate_automorphisms(PrimeContext(p, k), ["times", "xor"])
+    assert result.automorphisms == tuple(sorted(group))
 
 
 def test_enumeration_result_json():
