@@ -420,6 +420,28 @@ def test_mul_family_tables_match_every_parameter_choice(p, k):
     assert family_tables(ctx, "mul") == every_choice
 
 
+@pytest.mark.parametrize("family", ["xor", "and"])
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 5), (3, 3), (5, 2), (7, 2)])
+def test_digit_family_tables_match_every_parameter_choice(family, p, k):
+    # the reference realizes every spec; family_tables builds no spec
+    ctx = PrimeContext(p, k)
+    every_choice = {realize(spec).table for spec in family_specs(ctx, family)}
+    assert family_tables(ctx, family) == every_choice
+
+
+def test_digit_family_spec_order():
+    # xor rows run through the diagonal fastest, then the off-diagonal
+    # coefficients, the last row fastest of all; exponents likewise
+    ctx = PrimeContext(3, 2)
+    xor = [spec.alpha for spec in family_specs(ctx, "xor")]
+    assert len(xor) == family_size(ctx, "xor") == 12
+    assert xor[:2] == [((1,), (0, 1)), ((1,), (0, 2))]
+    assert xor[-1] == ((2,), (2, 2))
+    assert [spec.exponents for spec in family_specs(ctx, "and")] == [(1, 1)]
+    ctx = PrimeContext(5, 2)
+    assert [spec.exponents for spec in family_specs(ctx, "and")] == [(1, 1), (1, 3), (3, 1), (3, 3)]
+
+
 def test_family_tables_counts():
     assert len(family_tables(PrimeContext(3, 2), "add")) == 6
     assert len(family_tables(PrimeContext(2, 3), "xor")) == 8
