@@ -311,21 +311,18 @@ def _realize_mul(spec: MulSpec) -> LipschitzFn:
     )
 
 
-def _xor_subfunctions(spec: XorSpec) -> list:
-    """Digit maps of a triangular digit-linear map.
-
-    Output digit k is row[k]*d plus the prefix's share sum row[i]*a_i
-    (i < k), which depends on the prefix only mod p: p maps per level.
+def level_digit_maps(p: int, k: int, param) -> list:
+    """The p**k level-k digit maps, in prefix order, of an xor row or an and
+    exponent.  An exponent e maps d to d**e mod p; a row maps d to row[k]*d
+    plus the prefix's share sum row[i]*a_i (i < k), which is a residue mod p.
     """
-    p = spec.ctx.p
-    subfunctions = []
-    for k, row in enumerate(spec.alpha):
-        shares = [0]
-        for i in range(k):
-            shares = [(share + row[i] * d) % p for d in range(p) for share in shares]
-        maps = [tuple((share + row[k] * d) % p for d in range(p)) for share in range(p)]
-        subfunctions.append([maps[share] for share in shares])
-    return subfunctions
+    if type(param) is int:
+        return [tuple(pow(d, param, p) for d in range(p))] * p**k
+    shares = [0]
+    for c in param[:k]:
+        shares = [(share + c * d) % p for d in range(p) for share in shares]
+    maps = [tuple((share + param[k] * d) % p for d in range(p)) for share in range(p)]
+    return [maps[share] for share in shares]
 
 
 def realize(spec: AutSpec) -> LipschitzFn:
@@ -340,15 +337,10 @@ def realize(spec: AutSpec) -> LipschitzFn:
         return LipschitzFn(ctx, table, provenance=f"add(A={spec.A.value})")
     if isinstance(spec, MulSpec):
         return _realize_mul(spec)
-    if isinstance(spec, XorSpec):
-        return LipschitzFn.from_subfunctions(ctx, _xor_subfunctions(spec), provenance="xor")
-    if isinstance(spec, AndSpec):
-        p = ctx.p
-        subfunctions = [
-            [tuple(pow(d, e, p) for d in range(p))] * p**k
-            for k, e in enumerate(spec.exponents)
-        ]
-        return LipschitzFn.from_subfunctions(ctx, subfunctions, provenance="and")
+    if isinstance(spec, XorSpec | AndSpec):
+        family, params = ("xor", spec.alpha) if isinstance(spec, XorSpec) else ("and", spec.exponents)
+        subfunctions = [level_digit_maps(ctx.p, k, param) for k, param in enumerate(params)]
+        return LipschitzFn.from_subfunctions(ctx, subfunctions, provenance=family)
     raise TypeError(f"not an automorphism spec: {spec!r}")
 
 

@@ -31,13 +31,14 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import PrimeContext
-from .lipschitz import MAX_TABLE_SIZE
+from .lipschitz import MAX_TABLE_SIZE, LipschitzFn, _check_table_size
 from .automorph import (
     AddSpec,
     AndSpec,
     MulSpec,
     Operation,
     XorSpec,
+    level_digit_maps,
     operation_by_name,
     realize,
 )
@@ -271,28 +272,27 @@ def _mul_specs(ctx: PrimeContext, units: list[int]):
     )
 
 
+def _digit_levels(ctx: PrimeContext, family: str) -> list[list]:
+    """Per level k, the xor rows (k coefficients, then a nonzero diagonal) or
+    the and exponents (coprime to p-1), in ``family_specs`` order."""
+    p = ctx.p
+    if family == "and":
+        return [_coprime_exponents(p)] * ctx.precision
+    return [
+        [prefix + (diag,) for prefix in itertools.product(range(p), repeat=k) for diag in range(1, p)]
+        for k in range(ctx.precision)
+    ]
+
+
 def family_specs(ctx: PrimeContext, family: str):
     """Yield every family member with parameters ranging over residues mod p**k."""
-    p = ctx.p
     if family == "add":
         yield from (AddSpec(ctx.integer(A)) for A in ctx.units())
     elif family == "mul":
         yield from _mul_specs(ctx, list(ctx.units()))
-    elif family == "xor":
-        row_choices = []
-        for k in range(ctx.precision):
-            rows = [
-                prefix + (diag,)
-                for prefix in itertools.product(range(p), repeat=k)
-                for diag in range(1, p)
-            ]
-            row_choices.append(rows)
-        yield from (XorSpec(ctx, rows) for rows in itertools.product(*row_choices))
-    elif family == "and":
-        yield from (
-            AndSpec(ctx, exps)
-            for exps in itertools.product(_coprime_exponents(p), repeat=ctx.precision)
-        )
+    elif family in ("xor", "and"):
+        spec = XorSpec if family == "xor" else AndSpec
+        yield from (spec(ctx, params) for params in itertools.product(*_digit_levels(ctx, family)))
     else:
         raise ValueError(f"unknown family {family!r}")
 
@@ -319,8 +319,14 @@ def family_tables(ctx: PrimeContext, family: str) -> set[tuple[int, ...]]:
     realized, since every other member repeats one of their tables: the
     exponent a acts on the principal units mod p**k, a group of order
     p**(k-1), and A enters only as (p*A)**m with m >= 1, so both matter
-    only mod p**(k-1).  At k = 1 the bound p keeps every unit.
+    only mod p**(k-1).  At k = 1 the bound p keeps every unit.  "xor" and
+    "and" members are assembled from level digit maps built once per choice.
     """
+    if family in ("xor", "and"):
+        _check_table_size(ctx)
+        choices = enumerate(_digit_levels(ctx, family))
+        levels = [[level_digit_maps(ctx.p, k, param) for param in level] for k, level in choices]
+        return {LipschitzFn.from_subfunctions(ctx, maps).table for maps in itertools.product(*levels)}
     if family == "mul":
         p = ctx.p
         specs = _mul_specs(ctx, [u for u in range(1, max(p, p ** (ctx.precision - 1))) if u % p])
