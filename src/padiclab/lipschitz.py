@@ -284,27 +284,14 @@ def preserves_measure_vdp(f: LipschitzFn) -> CriterionReport:
     return CriterionReport(ok=True)
 
 
-@dataclass(frozen=True)
-class SubfunctionTable:
-    """Digit-k action of a function once the k low input digits are fixed."""
-
-    level: int
-    prefix: int
-    phi: tuple[int, ...]
-
-
-def coordinate_subfunctions(f: LipschitzFn, k: int) -> list[SubfunctionTable]:
-    """All digit-k sub-functions, indexed by the prefix a in [0, p**k)."""
+def coordinate_subfunctions(f: LipschitzFn, k: int) -> list[tuple[int, ...]]:
+    """The p**k digit-k maps of f in prefix order, as ``from_subfunctions`` takes them."""
     ctx = f.ctx
     if not (0 <= k < ctx.precision):
         raise ValueError(f"level {k} outside [0, {ctx.precision})")
     p = ctx.p
     block = p**k
-    out = []
-    for a in range(block):
-        phi = tuple((f.table[a + d * block] // block) % p for d in range(p))
-        out.append(SubfunctionTable(level=k, prefix=a, phi=phi))
-    return out
+    return [tuple(f.table[a + d * block] // block % p for d in range(p)) for a in range(block)]
 
 
 def preserves_measure_coord(f: LipschitzFn) -> CriterionReport:

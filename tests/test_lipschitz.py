@@ -175,12 +175,22 @@ def test_measure_vdp_examples():
 def test_coordinate_subfunctions_identity_and_shift():
     ctx = PrimeContext(3, 2)
     for k in range(ctx.precision):
-        for sub in coordinate_subfunctions(identity(ctx), k):
-            assert sub.phi == (0, 1, 2)
+        assert coordinate_subfunctions(identity(ctx), k) == [(0, 1, 2)] * 3**k
     shift = LipschitzFn.from_table(ctx, [ctx.xor_values(x, 5) for x in range(9)])
     assert preserves_measure_coord(shift).ok
-    for sub in coordinate_subfunctions(shift, 0):
-        assert sorted(sub.phi) == [0, 1, 2]
+    assert coordinate_subfunctions(shift, 0) == [(2, 0, 1)]
+    with pytest.raises(ValueError):
+        coordinate_subfunctions(shift, 2)
+
+
+@pytest.mark.parametrize("p,K", [(2, 1), (2, 5), (3, 3), (5, 2), (7, 2)])
+def test_coordinate_subfunctions_round_trip(p, K):
+    ctx = PrimeContext(p, K)
+    rng = random.Random(p * 100 + K)
+    for _ in range(5):
+        f = LipschitzFn.from_table(ctx, random_lipschitz(ctx, rng).table)
+        levels = [coordinate_subfunctions(f, k) for k in range(K)]
+        assert LipschitzFn.from_subfunctions(ctx, levels) == f
 
 
 def test_coordinate_criterion_digit_squares():
