@@ -25,6 +25,7 @@ from .core import (
     PrimeContext,
     padic_from_json,
     pow_unit,
+    sequence_field,
     teichmuller,
     unit_decompose,
 )
@@ -124,7 +125,11 @@ class CustomOp:
             padic_from_json(ctx, data.get("c", 0)),
             padic_from_json(ctx, data.get("a", 0)),
             padic_from_json(ctx, data.get("b", 0)),
-            [(i, j, padic_from_json(ctx, c)) for i, j, c in data.get("terms", [])],
+            [
+                (i, j, padic_from_json(ctx, c))
+                for n, term in enumerate(sequence_field(data.get("terms", []), "terms"))
+                for i, j, c in [sequence_field(term, f"terms[{n}]", 3)]
+            ],
         )
 
 
@@ -191,7 +196,9 @@ class XorSpec:
 
     def __post_init__(self):
         ctx = self.context
-        object.__setattr__(self, "alpha", tuple(tuple(row) for row in self.alpha))
+        alpha = sequence_field(self.alpha, "alpha")
+        alpha = tuple(sequence_field(row, f"alpha[{k}]") for k, row in enumerate(alpha))
+        object.__setattr__(self, "alpha", alpha)
         if len(self.alpha) != ctx.precision:
             raise ValueError(f"need {ctx.precision} rows, got {len(self.alpha)}")
         for k, row in enumerate(self.alpha):
@@ -218,7 +225,7 @@ class AndSpec:
 
     def __post_init__(self):
         ctx = self.context
-        object.__setattr__(self, "exponents", tuple(self.exponents))
+        object.__setattr__(self, "exponents", sequence_field(self.exponents, "s_list"))
         if len(self.exponents) != ctx.precision:
             raise ValueError(
                 f"need {ctx.precision} exponents, got {len(self.exponents)}"

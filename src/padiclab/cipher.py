@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PrimeContext, is_prime
+from .core import PrimeContext, is_prime, sequence_field
 from .lipschitz import LipschitzFn
 from .automorph import Operation, operation_by_name
 
@@ -40,7 +40,7 @@ class Word:
     symbols: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
+        object.__setattr__(self, "symbols", sequence_field(self.symbols, "symbols"))
         _check_symbols(self.p, self.symbols, "symbols")
         if len(self.symbols) < 1:
             raise ValueError("words have length >= 1")
@@ -58,7 +58,7 @@ class Word:
 
 
 def word_from_json(data: dict) -> Word:
-    return Word(data["p"], tuple(data["symbols"]))
+    return Word(data["p"], data["symbols"])
 
 
 def tau(word: Word) -> int:
@@ -98,7 +98,7 @@ def word_op(x: Word, y: Word, op: "Operation | str") -> Word:
 
 
 def _check_permutation(p: int, table, field: str) -> tuple[int, ...]:
-    table = tuple(table)
+    table = sequence_field(table, field)
     _check_symbols(p, table, field)
     if len(table) != p or len(set(table)) != p:
         raise ValueError(f"{field} is not a permutation of [0, {p})")
@@ -141,7 +141,10 @@ class SubstitutionStreamKey:
         object.__setattr__(
             self,
             "tables",
-            tuple(_check_permutation(self.p, t, f"gs[{i}]") for i, t in enumerate(self.tables)),
+            tuple(
+                _check_permutation(self.p, t, f"gs[{i}]")
+                for i, t in enumerate(sequence_field(self.tables, "gs"))
+            ),
         )
         if not self.tables:
             raise ValueError("need at least one permutation")
@@ -169,7 +172,7 @@ class KeystreamKey:
     gamma: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", tuple(self.gamma))
+        object.__setattr__(self, "gamma", sequence_field(self.gamma, "gamma"))
         if not self.gamma:
             raise ValueError("need at least one key symbol")
         _check_symbols(self.p, self.gamma, "gamma")
@@ -195,11 +198,11 @@ CipherKey = SubstitutionKey | SubstitutionStreamKey | KeystreamKey
 def key_from_json(data: dict) -> CipherKey:
     kind = data.get("kind")
     if kind == "subst":
-        return SubstitutionKey(data["p"], tuple(data["g"]))
+        return SubstitutionKey(data["p"], data["g"])
     if kind == "subst_stream":
-        return SubstitutionStreamKey(data["p"], tuple(tuple(t) for t in data["gs"]))
+        return SubstitutionStreamKey(data["p"], data["gs"])
     if kind == "keystream":
-        return KeystreamKey(data["p"], tuple(data["gamma"]))
+        return KeystreamKey(data["p"], data["gamma"])
     raise ValueError(f"unknown key kind {kind!r}")
 
 

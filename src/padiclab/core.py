@@ -262,6 +262,14 @@ class PadicInt:
         return {"p": self.ctx.p, "K": self.ctx.precision, "digits": list(self.digits)}
 
 
+def sequence_field(value, field: str, length: int | None = None) -> tuple:
+    """A list (or tuple) field as a tuple, of ``length`` items if given."""
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        expected = "a list" if length is None else f"a list of {length}"
+        raise ValueError(f"{field} = {value!r}, expected {expected}")
+    return tuple(value)
+
+
 def padic_from_json(ctx: PrimeContext, data) -> PadicInt:
     """Decode JSON: a digit dict, or a residue in [0, p**K) as an int or decimal string."""
     if isinstance(data, dict):

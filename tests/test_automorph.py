@@ -92,6 +92,14 @@ def test_spec_fields_must_be_ints():
             lambda: CustomOp.from_json(c, {"terms": [[True, 4, "1"]]}),
             "term exponents (True,4) must be ints >= 0 with i+j >= 2",
         ),
+        (lambda: aut_spec_from_json(c, {"family": "xor", "alpha": 5}), "alpha = 5, expected a list"),
+        (
+            lambda: aut_spec_from_json(c, {"family": "xor", "alpha": [[1], 5]}),
+            "alpha[1] = 5, expected a list",
+        ),
+        (lambda: aut_spec_from_json(c, {"family": "and", "s_list": 7}), "s_list = 7, expected a list"),
+        (lambda: CustomOp.from_json(c, {"terms": [[1, 2]]}), "terms[0] = [1, 2], expected a list of 3"),
+        (lambda: CustomOp.from_json(c, {"terms": 5}), "terms = 5, expected a list"),
     ]
     for make, message in cases:
         with pytest.raises(ValueError) as info:

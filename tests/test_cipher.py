@@ -67,6 +67,11 @@ def test_word_validation():
             "gs[1][1] = True, expected an int in [0, 3)",
         ),
         (lambda: parse_formula(["leaf", 0.7]), "leaf takes one int index: ['leaf', 0.7]"),
+        # wrong shapes, where a list is expected
+        (lambda: key_from_json({"kind": "subst_stream", "p": 3, "gs": [1, 2]}), "gs[0] = 1, expected a list"),
+        (lambda: key_from_json({"kind": "keystream", "p": 3, "gamma": 5}), "gamma = 5, expected a list"),
+        (lambda: key_from_json({"kind": "subst", "p": 3, "g": 7}), "g = 7, expected a list"),
+        (lambda: word_from_json({"p": 3, "symbols": 4}), "symbols = 4, expected a list"),
     ],
 )
 def test_bools_and_floats_are_not_symbols(make, message):

@@ -398,6 +398,37 @@ WORDS_3 = '[{"p":3,"symbols":[1,2]}]'
             )
             for A, value in [("26", 26), ('"26"', 26), ("-1", -1), ('"-1"', -1)]
         ),
+        # wrong shapes name their field too
+        (
+            ["make-aut", "--p", "5", "--K", "2", "--spec", '{"family":"xor","alpha":5}'],
+            "error: alpha = 5, expected a list",
+        ),
+        (
+            ["make-aut", "--p", "5", "--K", "2", "--spec", '{"family":"xor","alpha":[[1],5]}'],
+            "error: alpha[1] = 5, expected a list",
+        ),
+        (
+            ["make-aut", "--p", "5", "--K", "2", "--spec", '{"family":"and","s_list":7}'],
+            "error: s_list = 7, expected a list",
+        ),
+        (
+            [
+                "cipher", "encrypt", "--key", '{"kind":"subst_stream","p":3,"gs":[1,2]}',
+                "--word", '{"p":3,"symbols":[2,1]}',
+            ],
+            "error: gs[0] = 1, expected a list",
+        ),
+        (
+            [
+                "cipher", "encrypt", "--key", '{"kind":"keystream","p":3,"gamma":5}',
+                "--word", '{"p":3,"symbols":[2,1]}',
+            ],
+            "error: gamma = 5, expected a list",
+        ),
+        (
+            ["analyze-g", "--p", "3", "--K", "2", "--g", '{"terms":[[1,2]]}'],
+            "error: terms[0] = [1, 2], expected a list of 3",
+        ),
     ],
 )
 def test_non_int_json_field_is_named(capsys, argv, message):
