@@ -291,8 +291,8 @@ def family_specs(ctx: PrimeContext, family: str):
     elif family == "mul":
         yield from _mul_specs(ctx, list(ctx.units()))
     elif family in ("xor", "and"):
-        spec = XorSpec if family == "xor" else AndSpec
-        yield from (spec(ctx, params) for params in itertools.product(*_digit_levels(ctx, family)))
+        make = XorSpec if family == "xor" else AndSpec
+        yield from (make(ctx, params) for params in itertools.product(*_digit_levels(ctx, family)))
     else:
         raise ValueError(f"unknown family {family!r}")
 
