@@ -98,6 +98,8 @@ class PrimeContext:
     def xor_values(self, x: int, y: int) -> int:
         """Digit-wise addition mod p of two residues (no carries)."""
         p = self.p
+        if p == 2:  # the base-2 digits are the bits: digit sum mod 2 is XOR
+            return x ^ y
         out = 0
         scale = 1
         for _ in range(self.precision):
@@ -110,6 +112,8 @@ class PrimeContext:
     def and_values(self, x: int, y: int) -> int:
         """Digit-wise multiplication mod p of two residues (no carries)."""
         p = self.p
+        if p == 2:  # the base-2 digits are the bits: digit product is AND
+            return x & y
         out = 0
         scale = 1
         for _ in range(self.precision):

@@ -200,19 +200,20 @@ def vdp_transform(f: LipschitzFn) -> VdpSeries:
     """Coefficients B_m of f over the ball basis, exact mod p**K.
 
     One O(p**K) pass: B_x = f(x) for x < p and B_x = f(x) - f(rest) for
-    x = rest + lead (lead the leading digit of x, at place n), checking in
-    the same loop that p**n divides B_x.  A source that is not tower
-    compatible fails that check, raising ValueError at the first such x.
+    x = rest + lead (lead the leading digit of x, at place n), one block of
+    p**n coefficients at a time, each block checked for divisibility by
+    p**n.  A source that is not tower compatible fails that check, raising
+    ValueError at the first such x.
     """
     ctx = f.ctx
     table, modulus = f.table, ctx.modulus
     coeffs = list(table[: ctx.p])
     for block, lead in _leading_digits(ctx):
-        for rest in range(block):
-            b = (table[lead + rest] - table[rest]) % modulus
-            if b % block:
-                raise ValueError(f"coefficient {lead + rest} not divisible by {block}")
-            coeffs.append(b)
+        chunk = [(fx - frest) % modulus for fx, frest in zip(table[lead : lead + block], table)]
+        if any(b % block for b in chunk):
+            rest = next(rest for rest, b in enumerate(chunk) if b % block)
+            raise ValueError(f"coefficient {lead + rest} not divisible by {block}")
+        coeffs += chunk
     return VdpSeries(ctx, tuple(coeffs))
 
 
@@ -273,9 +274,11 @@ def preserves_measure_vdp(f: LipschitzFn) -> CriterionReport:
     nonzero = set(range(1, p))
     for k in range(1, ctx.precision):
         block = p**k
+        # b_x = B_x / p**k mod p for x in [p**k, p**(k+1)); the siblings of m
+        # are x = m + i*p**k, i = 1..p-1, a stride-p**k slice
+        residues = [b // block % p for b in coeffs[block : block * p]]
         for m in range(block):
-            # b_x = B_x / p**k for the siblings x = m + i*p**k
-            if {b // block % p for b in coeffs[m + block : block * p : block]} != nonzero:
+            if set(residues[m::block]) != nonzero:
                 return CriterionReport(
                     ok=False,
                     failure=(k, m),
@@ -315,7 +318,8 @@ def is_bijective_mod(f: LipschitzFn, k: int) -> bool:
     if not (1 <= k <= f.ctx.precision):
         raise ValueError(f"level {k} outside [1, {f.ctx.precision}]")
     block = f.ctx.p**k
-    return sorted(v % block for v in f.table[:block]) == list(range(block))
+    # block values, all in [0, block): a permutation iff they are distinct
+    return len({v % block for v in f.table[:block]}) == block
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +330,9 @@ def is_bijective_mod(f: LipschitzFn, k: int) -> bool:
 def random_lipschitz(ctx: PrimeContext, rng) -> LipschitzFn:
     """Uniform tower-compatible function: independent random digit maps."""
     p = ctx.p
+    randrange = rng.randrange
     subfunctions = [
-        [tuple(rng.randrange(p) for _ in range(p)) for _ in range(p**k)]
+        [tuple([randrange(p) for _ in range(p)]) for _ in range(p**k)]
         for k in range(ctx.precision)
     ]
     return LipschitzFn.from_subfunctions(ctx, subfunctions, "random_lipschitz")
