@@ -23,6 +23,7 @@ from .core import (
     ContextMismatch,
     PadicInt,
     PrimeContext,
+    mapping_field,
     padic_from_json,
     pow_unit,
     sequence_field,
@@ -120,6 +121,7 @@ class CustomOp:
 
     @classmethod
     def from_json(cls, ctx: PrimeContext, data: dict) -> "CustomOp":
+        data = mapping_field(data, "g")
         return cls(
             ctx,
             padic_from_json(ctx, data.get("c", 0)),
@@ -257,6 +259,7 @@ def aut_spec_to_json(spec: AutSpec) -> dict:
 
 
 def aut_spec_from_json(ctx: PrimeContext, data: dict) -> AutSpec:
+    data = mapping_field(data, "spec")
     family = data.get("family")
     if family == "add":
         return AddSpec(padic_from_json(ctx, data["A"]))

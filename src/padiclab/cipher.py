@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PrimeContext, is_prime, sequence_field
+from .core import PrimeContext, is_prime, mapping_field, sequence_field
 from .lipschitz import LipschitzFn
 from .automorph import Operation, operation_by_name
 
@@ -58,6 +58,7 @@ class Word:
 
 
 def word_from_json(data: dict) -> Word:
+    data = mapping_field(data, "word")
     return Word(data["p"], data["symbols"])
 
 
@@ -196,6 +197,7 @@ CipherKey = SubstitutionKey | SubstitutionStreamKey | KeystreamKey
 
 
 def key_from_json(data: dict) -> CipherKey:
+    data = mapping_field(data, "key")
     kind = data.get("kind")
     if kind == "subst":
         return SubstitutionKey(data["p"], data["g"])

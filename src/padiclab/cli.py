@@ -14,7 +14,7 @@ import json
 import random
 import sys
 
-from .core import PrimeContext
+from .core import PrimeContext, mapping_field, sequence_field
 from . import lipschitz
 from .lipschitz import (
     CompatibilityViolation,
@@ -116,7 +116,7 @@ def cmd_vdp(args):
 
 
 def cmd_check(args):
-    data = _load_json_arg(args.infile)
+    data = mapping_field(_load_json_arg(args.infile), "function")
     ctx = PrimeContext(data["p"], data["K"])
     try:
         fn = LipschitzFn.from_table(ctx, data["table"], data.get("provenance"))
@@ -323,7 +323,7 @@ def cmd_cipher(args):
         fn = cipher_mod.encrypt if args.action == "encrypt" else cipher_mod.decrypt
         return fn(word, key).to_json(), None
     formula = cipher_mod.parse_formula(_load_json_arg(args.formula))
-    data = [cipher_mod.word_from_json(w) for w in _load_json_arg(args.data)]
+    data = [cipher_mod.word_from_json(w) for w in sequence_field(_load_json_arg(args.data), "data")]
     demo = cipher_mod.homomorphic_eval(formula, data, key)
     return demo.to_json(), lambda d: (
         f"plain result     : {d['plain_result']['symbols']}\n"

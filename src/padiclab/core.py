@@ -15,6 +15,7 @@ u**a depends only on a mod p**(K-1) and pow(u, a mod p**K, p**K) is exact.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 MAX_PRECISION = 32
@@ -274,14 +275,25 @@ def sequence_field(value, field: str, length: int | None = None) -> tuple:
     return tuple(value)
 
 
+def mapping_field(value, field: str) -> dict:
+    """A JSON object field as a dict."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} = {value!r}, expected an object")
+    return value
+
+
 def padic_from_json(ctx: PrimeContext, data) -> PadicInt:
-    """Decode JSON: a digit dict, or a residue in [0, p**K) as an int or decimal string."""
+    """Decode JSON: a digit dict, or a residue in [0, p**K) as an int or decimal string.
+
+    A string must be ASCII digits with an optional leading minus sign, so
+    "1_0", "+3", " 4 " and non-ASCII digits are not residues.
+    """
     if isinstance(data, dict):
         if data.get("p", ctx.p) != ctx.p or data.get("K", ctx.precision) != ctx.precision:
             raise ContextMismatch(f"encoded (p,K) does not match {ctx}")
         return ctx.from_digits(data["digits"])
-    if isinstance(data, str):
-        data = int(data, 10)
+    if isinstance(data, str) and re.fullmatch("-?[0-9]+", data):
+        data = int(data)
     if type(data) is not int:  # bools and floats
         raise ValueError(f"cannot decode p-adic value from {data!r}")
     if not (0 <= data < ctx.modulus):

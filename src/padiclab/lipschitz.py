@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import PrimeContext
+from .core import PrimeContext, mapping_field
 
 # value tables are materialized in full; anything larger is out of scope
 MAX_TABLE_SIZE = 2**24
@@ -376,11 +376,13 @@ def fn_to_json(f: LipschitzFn) -> dict:
 
 
 def fn_from_json(data: dict) -> LipschitzFn:
+    data = mapping_field(data, "function")
     ctx = PrimeContext(data["p"], data["K"])
     return LipschitzFn.from_table(ctx, data["table"], data.get("provenance"))
 
 
 def series_from_json(data: dict) -> VdpSeries:
+    data = mapping_field(data, "series")
     ctx = PrimeContext(data["p"], data["K"])
     for i, c in enumerate(data["B"]):
         if type(c) is not int:

@@ -429,6 +429,34 @@ WORDS_3 = '[{"p":3,"symbols":[1,2]}]'
             ["analyze-g", "--p", "3", "--K", "2", "--g", '{"terms":[[1,2]]}'],
             "error: terms[0] = [1, 2], expected a list of 3",
         ),
+        # a JSON argument that is not an object is named too
+        (["make-aut", "--p", "5", "--K", "2", "--spec", "[1]"], "error: spec = [1], expected an object"),
+        (["analyze-g", "--p", "3", "--K", "2", "--g", "[1]"], "error: g = [1], expected an object"),
+        (
+            ["cipher", "encrypt", "--key", "[1]", "--word", '{"p":3,"symbols":[2,1]}'],
+            "error: key = [1], expected an object",
+        ),
+        (["cipher", "encrypt", "--key", KEY_3, "--word", "[1]"], "error: word = [1], expected an object"),
+        (["check", "--in", "[1]"], "error: function = [1], expected an object"),
+        (["vdp", "--in", "[1]"], "error: function = [1], expected an object"),
+        (["vdp", "--inverse", "--in", "[1]"], "error: series = [1], expected an object"),
+        (["check-hom", "--in", "[1]", "--ops", "xor"], "error: function = [1], expected an object"),
+        (
+            ["cipher", "demo", "--key", KEY_3, "--formula", '["leaf",0]', "--data", "5"],
+            "error: data = 5, expected a list",
+        ),
+        (
+            ["cipher", "demo", "--key", KEY_3, "--formula", '["leaf",0]', "--data", "[1]"],
+            "error: word = 1, expected an object",
+        ),
+        # a decimal string is ASCII digits with an optional minus sign
+        *(
+            (
+                ["eval", "--p", "5", "--K", "2", "--spec", f'{{"family":"add","A":"{A}"}}', "--x", "3"],
+                f"error: cannot decode p-adic value from {A!r}",
+            )
+            for A in ["1_0", "+3", " 4 ", "\u0663", "x"]
+        ),
     ],
 )
 def test_non_int_json_field_is_named(capsys, argv, message):

@@ -386,6 +386,13 @@ def test_padic_json_roundtrip():
     for bad in (True, 2.0, {"digits": [2, True]}, {"digits": [2.0]}):
         with pytest.raises(ValueError):
             padic_from_json(ctx, bad)
+    # a decimal string is ASCII digits after an optional minus sign, nothing
+    # else int() would take
+    for bad in ("1_0", "+3", " 4 ", "4\n", "\u0663", "", "-", "0x10", "3.0"):
+        with pytest.raises(ValueError) as err:
+            padic_from_json(ctx, bad)
+        assert str(err.value) == f"cannot decode p-adic value from {bad!r}"
+    assert padic_from_json(ctx, "0010") == ctx.integer(10)
 
 
 def test_residues_are_ints():
