@@ -294,7 +294,7 @@ def padic_from_json(ctx: PrimeContext, data) -> PadicInt:
         return ctx.from_digits(data["digits"])
     if isinstance(data, str) and re.fullmatch("-?[0-9]+", data):
         data = int(data)
-    if type(data) is not int:  # bools and floats
+    if type(data) is not int:  # bools, floats and other strings
         raise ValueError(f"cannot decode p-adic value from {data!r}")
     if not (0 <= data < ctx.modulus):
         raise ValueError(f"residue {data} outside [0, {ctx.modulus})")
