@@ -200,20 +200,23 @@ def vdp_transform(f: LipschitzFn) -> VdpSeries:
     """Coefficients B_m of f over the ball basis, exact mod p**K.
 
     One O(p**K) pass: B_x = f(x) for x < p and B_x = f(x) - f(rest) for
-    x = rest + lead (lead the leading digit of x, at place n), one block of
-    p**n coefficients at a time, each block checked for divisibility by
-    p**n.  A source that is not tower compatible fails that check, raising
-    ValueError at the first such x.
+    x = rest + lead (lead the leading digit of x, at place n), one place n
+    at a time, each place's coefficients checked together for divisibility
+    by p**n.  A source that is not tower compatible fails that check,
+    raising ValueError at the first such x.
     """
     ctx = f.ctx
-    table, modulus = f.table, ctx.modulus
-    coeffs = list(table[: ctx.p])
-    for block, lead in _leading_digits(ctx):
-        chunk = [(fx - frest) % modulus for fx, frest in zip(table[lead : lead + block], table)]
-        if any(b % block for b in chunk):
-            rest = next(rest for rest, b in enumerate(chunk) if b % block)
-            raise ValueError(f"coefficient {lead + rest} not divisible by {block}")
-        coeffs += chunk
+    table, modulus, p = f.table, ctx.modulus, ctx.p
+    coeffs = list(table[:p])
+    for n in range(1, ctx.precision):
+        block = p**n
+        # x runs over [p**n, p**(n+1)) and rest = x mod p**n cycles p - 1 times
+        rests = table[:block] * (p - 1)
+        level = [(fx - frest) % modulus for fx, frest in zip(table[block : block * p], rests)]
+        if any(b % block for b in level):
+            i = next(i for i, b in enumerate(level) if b % block)
+            raise ValueError(f"coefficient {block + i} not divisible by {block}")
+        coeffs += level
     return VdpSeries(ctx, tuple(coeffs))
 
 
