@@ -14,7 +14,7 @@ import json
 import random
 import sys
 
-from .core import PrimeContext, mapping_field, sequence_field
+from .core import PrimeContext, sequence_field
 from . import lipschitz
 from .lipschitz import (
     CompatibilityViolation,
@@ -116,14 +116,13 @@ def cmd_vdp(args):
 
 
 def cmd_check(args):
-    data = mapping_field(_load_json_arg(args.infile), "function")
-    ctx = PrimeContext(data["p"], data["K"])
+    data = _load_json_arg(args.infile)
     try:
-        fn = LipschitzFn.from_table(ctx, data["table"], data.get("provenance"))
+        fn = fn_from_json(data)
     except CompatibilityViolation as violation:
         return {
-            "p": ctx.p,
-            "K": ctx.precision,
+            "p": data["p"],
+            "K": data["K"],
             "tower_compatible": False,
             "violation": {
                 "x": violation.x,
@@ -133,10 +132,10 @@ def cmd_check(args):
         }, None
     vdp_report = preserves_measure_vdp(fn)
     coord_report = preserves_measure_coord(fn)
-    bijective = all(is_bijective_mod(fn, k) for k in range(1, ctx.precision + 1))
+    bijective = all(is_bijective_mod(fn, k) for k in range(1, fn.ctx.precision + 1))
     return {
-        "p": ctx.p,
-        "K": ctx.precision,
+        "p": fn.ctx.p,
+        "K": fn.ctx.precision,
         "tower_compatible": True,
         "measure_preserving_vdp": vdp_report.ok,
         "vdp_failure": list(vdp_report.failure) if vdp_report.failure else None,
