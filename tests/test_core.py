@@ -236,6 +236,18 @@ def test_teichmuller_fixed_point_oracle():
             assert t.value % p == u % p
 
 
+def test_teichmuller_matches_k_fold_p_power():
+    # the definition: z -> z**p iterated K times from u
+    for p, K in [(2, 1), (2, 9), (3, 1), (3, 6), (5, 4), (7, 3), (13, 2), (65521, 2)]:
+        ctx = PrimeContext(p, K)
+        units = ctx.units() if ctx.modulus <= 729 else range(1, p)
+        for u in units:
+            z = u
+            for _ in range(K):
+                z = pow(z, p, ctx.modulus)
+            assert teichmuller(ctx.integer(u)).value == z, (p, K, u)
+
+
 def test_teichmuller_trivial_for_p2():
     ctx = PrimeContext(2, 4)
     for u in ctx.units():

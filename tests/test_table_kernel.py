@@ -327,6 +327,34 @@ def test_vdp_inverse_of_arbitrary_coefficients(ctx):
             assert vdp_inverse(series) == reference
 
 
+def digit_count(m, p):
+    """Number of base-p digits of m, counting 0 as one digit."""
+    n = 1
+    while m >= p:
+        m //= p
+        n += 1
+    return n
+
+
+def test_normalized_divides_by_the_leading_place(ctx):
+    # b_m = B_m / p**(digits(m) - 1) for every m; a coefficient that is not
+    # divisible is named with its p-power
+    rng = random.Random(ctx.p * 100 + ctx.precision + 8)
+    for f in (random_lipschitz(ctx, rng), random_measure_preserving(ctx, rng)):
+        series = vdp_transform(f)
+        for m, b in enumerate(series.coefficients):
+            assert series.normalized(m) == b // ctx.p ** (digit_count(m, ctx.p) - 1), m
+        if ctx.precision == 1:
+            continue
+        m = rng.randrange(ctx.p, ctx.modulus)
+        coeffs = list(series.coefficients)
+        coeffs[m] += 1
+        shift = ctx.p ** (digit_count(m, ctx.p) - 1)
+        with pytest.raises(ValueError) as err:
+            VdpSeries(ctx, tuple(coeffs)).normalized(m)
+        assert str(err.value) == f"coefficient {m} not divisible by {shift}"
+
+
 # ---------------------------------------------------------------------------
 # digit-wise operations and the criteria against per-digit, per-entry
 # references
