@@ -37,18 +37,6 @@ class CompatibilityViolation(ValueError):
         self.level = level
 
 
-def _leading_digits(ctx: PrimeContext):
-    """Yield (block, lead) covering every argument x >= p in ascending order.
-
-    x = rest + lead with rest < block = p**n and lead = d * block, 1 <= d < p:
-    lead is the leading digit of x and rest is x with that digit dropped.
-    """
-    for n in range(1, ctx.precision):
-        block = ctx.p**n
-        for lead in range(block, block * ctx.p, block):
-            yield block, lead
-
-
 def _check_table_size(ctx: PrimeContext) -> None:
     if ctx.modulus > MAX_TABLE_SIZE:
         raise ValueError(
@@ -73,9 +61,10 @@ class LipschitzFn:
         """Validate digit ranges and tower compatibility, then wrap the table.
 
         Compatibility at every level holds iff f(x) = f(rest) mod p**n for
-        each x = rest + lead with lead = d*p**n its leading digit (by
-        induction on x, since rest < x agrees with x mod p**n), so one
-        O(p**K) pass decides it.  Only when that pass fails does the
+        each x in [p**n, p**(n+1)) and rest = x mod p**n (by induction on x,
+        since rest < x agrees with x mod p**n), so one O(p**K) pass, per
+        digit place n the arguments against their rests table[:p**n],
+        decides it.  Only when that pass fails does the
         O(K p**K) ordered scan run: the first violation by level, then by
         argument, is raised as CompatibilityViolation naming the canonical
         representative, the argument and the level.
@@ -87,10 +76,11 @@ class LipschitzFn:
         for x, v in enumerate(table):
             if type(v) is not int or not 0 <= v < ctx.modulus:  # bools are not ints here
                 raise ValueError(f"table[{x}] = {v!r}, expected an int in [0, {ctx.modulus})")
+        p = ctx.p
         if any(
             (fx - frest) % block
-            for block, lead in _leading_digits(ctx)
-            for fx, frest in zip(table[lead : lead + block], table)
+            for block in (p**n for n in range(1, ctx.precision))
+            for fx, frest in zip(table[block : block * p], table[:block] * (p - 1))
         ):
             for level in range(1, ctx.precision):
                 block = ctx.p**level
@@ -156,15 +146,6 @@ def compose(f: LipschitzFn, g: LipschitzFn) -> LipschitzFn:
 # ---------------------------------------------------------------------------
 
 
-def _digit_length(p: int, m: int) -> int:
-    """Number of base-p digits of m >= 1."""
-    n = 0
-    while m:
-        m //= p
-        n += 1
-    return n
-
-
 @dataclass(frozen=True)
 class VdpSeries:
     """Ball-indicator expansion coefficients of a function mod p**K.
@@ -180,9 +161,10 @@ class VdpSeries:
 
     def normalized(self, m: int) -> int:
         """b_m as a residue (exact division by the guaranteed p-power)."""
-        if m < self.ctx.p:
-            return self.coefficients[m]
-        shift = self.ctx.p ** (_digit_length(self.ctx.p, m) - 1)
+        p = self.ctx.p
+        shift = 1
+        while shift * p <= m:
+            shift *= p
         b, rem = divmod(self.coefficients[m], shift)
         if rem:
             raise ValueError(f"coefficient {m} not divisible by {shift}")
@@ -200,8 +182,8 @@ def vdp_transform(f: LipschitzFn) -> VdpSeries:
     """Coefficients B_m of f over the ball basis, exact mod p**K.
 
     One O(p**K) pass: B_x = f(x) for x < p and B_x = f(x) - f(rest) for
-    x = rest + lead (lead the leading digit of x, at place n), one place n
-    at a time, each place's coefficients checked together for divisibility
+    x in [p**n, p**(n+1)) and rest = x mod p**n, one place n at a time,
+    each place's coefficients checked together for divisibility
     by p**n.  A source that is not tower compatible fails that check,
     raising ValueError at the first such x.
     """
@@ -228,7 +210,8 @@ def vdp_inverse(series: VdpSeries) -> LipschitzFn:
     (every one-digit truncation counts, zero included -- the m = 0 indicator
     is the ball of 0 mod p, not the constant one, which is what makes
     B_m = f(m) for m < p).  Those sums obey f(x) = f(rest) + B_x for
-    x = rest + lead, so the table is built in one O(p**K) pass.
+    x in [p**n, p**(n+1)) and rest = x mod p**n, so the table is built in
+    one O(p**K) pass, one digit place n at a time.
     Compatibility of the result revalidates the coefficient divisibility
     through from_table.
     """
@@ -236,9 +219,11 @@ def vdp_inverse(series: VdpSeries) -> LipschitzFn:
     coeffs, modulus = series.coefficients, ctx.modulus
     if len(coeffs) != modulus:
         raise ValueError(f"need {modulus} coefficients, got {len(coeffs)}")
-    table = [b % modulus for b in coeffs[: ctx.p]]
-    for block, lead in _leading_digits(ctx):
-        table += [(v + b) % modulus for v, b in zip(table[:block], coeffs[lead : lead + block])]
+    p = ctx.p
+    table = [b % modulus for b in coeffs[:p]]
+    for n in range(1, ctx.precision):
+        block = p**n
+        table += [(v + b) % modulus for v, b in zip(table * (p - 1), coeffs[block : block * p])]
     return LipschitzFn.from_table(ctx, table, provenance="vdp_inverse")
 
 
