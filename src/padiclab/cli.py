@@ -14,7 +14,7 @@ import json
 import random
 import sys
 
-from .core import PrimeContext, sequence_field
+from .core import PrimeContext, mapping_field, sequence_field
 from . import lipschitz
 from .lipschitz import (
     CompatibilityViolation,
@@ -81,7 +81,8 @@ def _function_from_spec(ctx: PrimeContext, spec) -> LipschitzFn:
     if isinstance(spec, dict) and "table" in spec:
         if spec.get("p", ctx.p) != ctx.p or spec.get("K", ctx.precision) != ctx.precision:
             raise ValueError("function (p, K) does not match --p/--K")
-        return LipschitzFn.from_table(ctx, spec["table"], spec.get("provenance"))
+        table = sequence_field(spec["table"], "table")
+        return LipschitzFn.from_table(ctx, table, spec.get("provenance"))
     raise ValueError("spec must carry either a 'family' or a 'table' key")
 
 
@@ -322,7 +323,10 @@ def cmd_cipher(args):
         fn = cipher_mod.encrypt if args.action == "encrypt" else cipher_mod.decrypt
         return fn(word, key).to_json(), None
     formula = cipher_mod.parse_formula(_load_json_arg(args.formula))
-    data = [cipher_mod.word_from_json(w) for w in sequence_field(_load_json_arg(args.data), "data")]
+    data = [
+        cipher_mod.word_from_json(mapping_field(w, f"data[{i}]"))
+        for i, w in enumerate(sequence_field(_load_json_arg(args.data), "data"))
+    ]
     demo = cipher_mod.homomorphic_eval(formula, data, key)
     return demo.to_json(), lambda d: (
         f"plain result     : {d['plain_result']['symbols']}\n"

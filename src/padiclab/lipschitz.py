@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import PrimeContext, mapping_field
+from .core import PrimeContext, mapping_field, sequence_field
 
 # value tables are materialized in full; anything larger is out of scope
 MAX_TABLE_SIZE = 2**24
@@ -366,16 +366,18 @@ def fn_to_json(f: LipschitzFn) -> dict:
 def fn_from_json(data: dict) -> LipschitzFn:
     data = mapping_field(data, "function")
     ctx = PrimeContext(data["p"], data["K"])
-    return LipschitzFn.from_table(ctx, data["table"], data.get("provenance"))
+    table = sequence_field(data["table"], "table")
+    return LipschitzFn.from_table(ctx, table, data.get("provenance"))
 
 
 def series_from_json(data: dict) -> VdpSeries:
     data = mapping_field(data, "series")
     ctx = PrimeContext(data["p"], data["K"])
-    for i, c in enumerate(data["B"]):
+    B = sequence_field(data["B"], "B")
+    for i, c in enumerate(B):
         if type(c) is not int:
             raise ValueError(f"B[{i}] = {c!r}, expected an int")
-    coeffs = [c % ctx.modulus for c in data["B"]]
+    coeffs = [c % ctx.modulus for c in B]
     if len(coeffs) != ctx.modulus:
         raise ValueError(f"need {ctx.modulus} coefficients, got {len(coeffs)}")
     return VdpSeries(ctx, tuple(coeffs))

@@ -447,7 +447,7 @@ WORDS_3 = '[{"p":3,"symbols":[1,2]}]'
         ),
         (
             ["cipher", "demo", "--key", KEY_3, "--formula", '["leaf",0]', "--data", "[1]"],
-            "error: word = 1, expected an object",
+            "error: data[0] = 1, expected an object",
         ),
         # a decimal string is ASCII digits with an optional minus sign
         *(
@@ -457,6 +457,18 @@ WORDS_3 = '[{"p":3,"symbols":[1,2]}]'
             )
             for A in ["1_0", "+3", " 4 ", "\u0663", "x"]
         ),
+        # a table or a series that is not a list is named
+        (["check", "--in", '{"p":2,"K":1,"table":5}'], "error: table = 5, expected a list"),
+        (["vdp", "--in", '{"p":2,"K":1,"table":5}'], "error: table = 5, expected a list"),
+        (
+            ["check-hom", "--in", '{"p":2,"K":1,"table":5}', "--ops", "xor"],
+            "error: table = 5, expected a list",
+        ),
+        (
+            ["eval", "--p", "2", "--K", "1", "--spec", '{"table":5}', "--x", "0"],
+            "error: table = 5, expected a list",
+        ),
+        (["vdp", "--inverse", "--in", '{"p":2,"K":1,"B":5}'], "error: B = 5, expected a list"),
     ],
 )
 def test_non_int_json_field_is_named(capsys, argv, message):
