@@ -316,16 +316,14 @@ def inverse_unit(x: PadicInt) -> PadicInt:
 def teichmuller(u: PadicInt) -> PadicInt:
     """The (p-1)-th root of unity congruent to u mod p.
 
-    Iterates z -> z**p exactly K times: each step gains at least one digit
-    of agreement with the root, so K steps pin it down modulo p**K.
+    u**(p**K): iterating z -> z**p gains at least one digit of agreement
+    with the root per step, so K steps pin it down modulo p**K, and K
+    p-th powers are the one power p**K.
     """
     if not u.is_unit():
         raise ValueError(f"{u!r} is not a unit")
     ctx = u.ctx
-    z = u.value
-    for _ in range(ctx.precision):
-        z = pow(z, ctx.p, ctx.modulus)
-    return PadicInt(ctx, z)
+    return PadicInt(ctx, pow(u.value, ctx.modulus, ctx.modulus))
 
 
 @dataclass(frozen=True)
