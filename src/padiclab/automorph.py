@@ -124,11 +124,11 @@ class CustomOp:
         data = mapping_field(data, "g")
         return cls(
             ctx,
-            padic_from_json(ctx, data.get("c", 0)),
-            padic_from_json(ctx, data.get("a", 0)),
-            padic_from_json(ctx, data.get("b", 0)),
+            padic_from_json(ctx, data.get("c", 0), "c"),
+            padic_from_json(ctx, data.get("a", 0), "a"),
+            padic_from_json(ctx, data.get("b", 0), "b"),
             [
-                (i, j, padic_from_json(ctx, c))
+                (i, j, padic_from_json(ctx, c, f"terms[{n}][2]"))
                 for n, term in enumerate(sequence_field(data.get("terms", []), "terms"))
                 for i, j, c in [sequence_field(term, f"terms[{n}]", 3)]
             ],
@@ -262,12 +262,12 @@ def aut_spec_from_json(ctx: PrimeContext, data: dict) -> AutSpec:
     data = mapping_field(data, "spec")
     family = data.get("family")
     if family == "add":
-        return AddSpec(padic_from_json(ctx, data["A"]))
+        return AddSpec(padic_from_json(ctx, data["A"], "A"))
     if family == "mul":
         return MulSpec(
             data["s"],
-            padic_from_json(ctx, data["a"]),
-            padic_from_json(ctx, data["A"]),
+            padic_from_json(ctx, data["a"], "a"),
+            padic_from_json(ctx, data["A"], "A"),
         )
     if family == "xor":
         return XorSpec(ctx, data["alpha"])

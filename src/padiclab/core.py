@@ -282,22 +282,29 @@ def mapping_field(value, field: str) -> dict:
     return value
 
 
-def padic_from_json(ctx: PrimeContext, data) -> PadicInt:
-    """Decode JSON: a digit dict, or a residue in [0, p**K) as an int or decimal string.
+def padic_from_json(ctx: PrimeContext, data, field: str) -> PadicInt:
+    """Decode JSON field ``field``: a digit dict, or a residue as an int or decimal string.
 
-    A string must be ASCII digits with an optional leading minus sign, so
-    "1_0", "+3", " 4 " and non-ASCII digits are not residues.
+    A residue lies in [0, p**K).  A string must be ASCII digits with an
+    optional leading minus sign, so "1_0", "+3", " 4 " and non-ASCII digits
+    are not residues; one with more significant digits than the modulus is
+    refused before int() reads it.
     """
     if isinstance(data, dict):
         if data.get("p", ctx.p) != ctx.p or data.get("K", ctx.precision) != ctx.precision:
             raise ContextMismatch(f"encoded (p,K) does not match {ctx}")
         return ctx.from_digits(data["digits"])
-    if isinstance(data, str) and re.fullmatch("-?[0-9]+", data):
-        data = int(data)
+    residue = f"a residue in [0, {ctx.modulus})"
+    decimal = isinstance(data, str) and re.fullmatch("(-?)0*([0-9]+)", data)
+    if decimal:
+        sign, digits = decimal.groups()
+        if len(digits) > len(str(ctx.modulus)):
+            raise ValueError(f"{field} has {len(digits)} digits, expected {residue}")
+        data = int(sign + digits)
     if type(data) is not int:  # bools, floats and other strings
-        raise ValueError(f"cannot decode p-adic value from {data!r}")
+        raise ValueError(f"{field} = {data!r}, expected {residue} or a digit object")
     if not (0 <= data < ctx.modulus):
-        raise ValueError(f"residue {data} outside [0, {ctx.modulus})")
+        raise ValueError(f"{field} = {data}, expected {residue}")
     return ctx.integer(data)
 
 

@@ -366,7 +366,7 @@ WORDS_3 = '[{"p":3,"symbols":[1,2]}]'
         ),
         (
             ["eval", "--p", "5", "--K", "2", "--spec", '{"family":"add","A":true}', "--x", "3"],
-            "error: cannot decode p-adic value from True",
+            "error: A = True, expected a residue in [0, 25) or a digit object",
         ),
         (
             [
@@ -394,7 +394,7 @@ WORDS_3 = '[{"p":3,"symbols":[1,2]}]'
         *(
             (
                 ["eval", "--p", "5", "--K", "2", "--spec", f'{{"family":"add","A":{A}}}', "--x", "3"],
-                f"error: residue {value} outside [0, 25)",
+                f"error: A = {value}, expected a residue in [0, 25)",
             )
             for A, value in [("26", 26), ('"26"', 26), ("-1", -1), ('"-1"', -1)]
         ),
@@ -453,7 +453,7 @@ WORDS_3 = '[{"p":3,"symbols":[1,2]}]'
         *(
             (
                 ["eval", "--p", "5", "--K", "2", "--spec", f'{{"family":"add","A":"{A}"}}', "--x", "3"],
-                f"error: cannot decode p-adic value from {A!r}",
+                f"error: A = {A!r}, expected a residue in [0, 25) or a digit object",
             )
             for A in ["1_0", "+3", " 4 ", "\u0663", "x"]
         ),
@@ -469,6 +469,15 @@ WORDS_3 = '[{"p":3,"symbols":[1,2]}]'
             "error: table = 5, expected a list",
         ),
         (["vdp", "--inverse", "--in", '{"p":2,"K":1,"B":5}'], "error: B = 5, expected a list"),
+        # a residue string is refused by its length before int() reads it
+        (
+            ["eval", "--p", "5", "--K", "2", "--spec", '{"family":"add","A":"%s"}' % ("1" * 5000), "--x", "1"],
+            "error: A has 5000 digits, expected a residue in [0, 25)",
+        ),
+        (
+            ["analyze-g", "--p", "3", "--K", "2", "--g", '{"terms":[[1,1,"x"]]}'],
+            "error: terms[0][2] = 'x', expected a residue in [0, 9) or a digit object",
+        ),
     ],
 )
 def test_non_int_json_field_is_named(capsys, argv, message):

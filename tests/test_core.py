@@ -385,26 +385,35 @@ def test_padic_json_roundtrip():
     x = ctx.integer(107)
     data = x.to_json()
     assert data == {"p": 5, "K": 3, "digits": [2, 1, 4]}
-    assert padic_from_json(ctx, data) == x
-    assert padic_from_json(ctx, "107") == x
-    assert padic_from_json(ctx, 107) == x
+    assert padic_from_json(ctx, data, "x") == x
+    assert padic_from_json(ctx, "107", "x") == x
+    assert padic_from_json(ctx, 107, "x") == x
     # decimal strings and plain ints share one range check
-    for bad in ("125", "-1", 125, -1):
-        with pytest.raises(ValueError, match="outside"):
-            padic_from_json(ctx, bad)
+    for bad, value in (("125", 125), ("-1", -1), (125, 125), (-1, -1), ("999", 999)):
+        with pytest.raises(ValueError) as err:
+            padic_from_json(ctx, bad, "x")
+        assert str(err.value) == f"x = {value}, expected a residue in [0, 125)"
     with pytest.raises(ContextMismatch):
-        padic_from_json(ctx, {"p": 3, "K": 3, "digits": [1]})
+        padic_from_json(ctx, {"p": 3, "K": 3, "digits": [1]}, "x")
     # bools compare equal to 0 and 1, floats to their integer values
     for bad in (True, 2.0, {"digits": [2, True]}, {"digits": [2.0]}):
         with pytest.raises(ValueError):
-            padic_from_json(ctx, bad)
+            padic_from_json(ctx, bad, "x")
     # a decimal string is ASCII digits after an optional minus sign, nothing
     # else int() would take
-    for bad in ("1_0", "+3", " 4 ", "4\n", "\u0663", "", "-", "0x10", "3.0"):
+    for bad in ("1_0", "+3", " 4 ", "4\n", "\u0663", "", "-", "0x10", "3.0", True, 2.0):
         with pytest.raises(ValueError) as err:
-            padic_from_json(ctx, bad)
-        assert str(err.value) == f"cannot decode p-adic value from {bad!r}"
-    assert padic_from_json(ctx, "0010") == ctx.integer(10)
+            padic_from_json(ctx, bad, "x")
+        assert str(err.value) == f"x = {bad!r}, expected a residue in [0, 125) or a digit object"
+    assert padic_from_json(ctx, "0010", "x") == ctx.integer(10)
+    # more significant digits than the modulus is refused before int() reads
+    # the string, past Python's 4,300-digit conversion limit too
+    for bad, digits in (("1000", 4), ("-1000", 4), ("1" * 5000, 5000), ("-" + "9" * 4301, 4301)):
+        with pytest.raises(ValueError) as err:
+            padic_from_json(ctx, bad, "x")
+        assert str(err.value) == f"x has {digits} digits, expected a residue in [0, 125)"
+    assert padic_from_json(ctx, "0" * 5000 + "7", "x") == ctx.integer(7)
+    assert padic_from_json(ctx, "-" + "0" * 5000, "x") == ctx.zero()
 
 
 def test_residues_are_ints():
