@@ -323,9 +323,9 @@ def inverse_unit(x: PadicInt) -> PadicInt:
 def teichmuller(u: PadicInt) -> PadicInt:
     """The (p-1)-th root of unity congruent to u mod p.
 
-    u**(p**K): iterating z -> z**p gains at least one digit of agreement
-    with the root per step, so K steps pin it down modulo p**K, and K
-    p-th powers are the one power p**K.
+    u**(p**K), the K-fold iterate of z -> z**p: each step gains at least
+    one digit of agreement with the root, so K steps pin it down modulo
+    p**K.
     """
     if not u.is_unit():
         raise ValueError(f"{u!r} is not a unit")

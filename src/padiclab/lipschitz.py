@@ -62,9 +62,9 @@ class LipschitzFn:
 
         Compatibility at every level holds iff f(x) = f(rest) mod p**n for
         each x in [p**n, p**(n+1)) and rest = x mod p**n (by induction on x,
-        since rest < x agrees with x mod p**n), so one O(p**K) pass, per
-        digit place n the arguments against their rests table[:p**n],
-        decides it.  Only when that pass fails does the
+        since rest < x agrees with x mod p**n), so one O(p**K) pass over the
+        digit places, each place's arguments against their rests
+        table[:p**n], decides it.  Only when that pass fails does the
         O(K p**K) ordered scan run: the first violation by level, then by
         argument, is raised as CompatibilityViolation naming the canonical
         representative, the argument and the level.
@@ -83,7 +83,7 @@ class LipschitzFn:
             for fx, frest in zip(table[block : block * p], table[:block] * (p - 1))
         ):
             for level in range(1, ctx.precision):
-                block = ctx.p**level
+                block = p**level
                 for x in range(block, ctx.modulus):
                     rep = x % block
                     if table[x] % block != table[rep] % block:

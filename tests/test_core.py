@@ -401,7 +401,7 @@ def test_padic_json_roundtrip():
             padic_from_json(ctx, bad, "x")
     # a decimal string is ASCII digits after an optional minus sign, nothing
     # else int() would take
-    for bad in ("1_0", "+3", " 4 ", "4\n", "\u0663", "", "-", "0x10", "3.0", True, 2.0):
+    for bad in ("1_0", "+3", " 4 ", "4\n", "\u0663", "", "-", "0x10", "3.0"):
         with pytest.raises(ValueError) as err:
             padic_from_json(ctx, bad, "x")
         assert str(err.value) == f"x = {bad!r}, expected a residue in [0, 125) or a digit object"
