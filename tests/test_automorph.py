@@ -86,7 +86,10 @@ def test_spec_fields_must_be_ints():
             lambda: aut_spec_from_json(c, {"family": "mul", "s": "3", "a": "1", "A": "1"}),
             "s = '3', expected an int in [1, 4]",
         ),
-        (lambda: aut_spec_from_json(c, {"family": "add", "A": True}), "A = True, expected a residue in [0, 25) or a digit object"),
+        (
+            lambda: aut_spec_from_json(c, {"family": "add", "A": True}),
+            "A = True, expected a residue in [0, 25) or a digit object",
+        ),
         (lambda: CustomOp(c, 0.5, 1, 1), "p-adic residue must be an int, got 0.5"),
         (
             lambda: CustomOp.from_json(c, {"terms": [[True, 4, "1"]]}),

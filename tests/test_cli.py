@@ -471,7 +471,10 @@ WORDS_3 = '[{"p":3,"symbols":[1,2]}]'
         (["vdp", "--inverse", "--in", '{"p":2,"K":1,"B":5}'], "error: B = 5, expected a list"),
         # a residue string is refused by its length before int() reads it
         (
-            ["eval", "--p", "5", "--K", "2", "--spec", '{"family":"add","A":"%s"}' % ("1" * 5000), "--x", "1"],
+            [
+                "eval", "--p", "5", "--K", "2",
+                "--spec", '{"family":"add","A":"%s"}' % ("1" * 5000), "--x", "1",
+            ],
             "error: A has 5000 digits, expected a residue in [0, 25)",
         ),
         (
