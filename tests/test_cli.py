@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
+import pathlib
 import resource
 import subprocess
 import sys
@@ -490,6 +492,42 @@ def test_non_int_json_field_is_named(capsys, argv, message):
     assert captured.err.splitlines() == [message]
 
 
+# x -> 2x mod 9, tower-compatible at (3,2)
+DOUBLE_3_2 = [0, 2, 4, 6, 8, 1, 3, 5, 7]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"table": DOUBLE_3_2},
+        {"table": DOUBLE_3_2, "p": 3, "K": 2},
+        {"table": DOUBLE_3_2, "K": 2, "provenance": "double"},
+    ],
+    ids=["no-context", "matching-context", "provenance"],
+)
+def test_eval_table_spec(capsys, spec):
+    code, out = run_cli(capsys, "eval", "--p", "3", "--K", "2", "--x", "5", "--spec", json.dumps(spec))
+    assert code == 0
+    assert out == '{"K":2,"digits":[1,0],"p":3,"value":1,"x":5}\n'
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ({"table": DOUBLE_3_2, "p": 5}, "error: function (p, K) does not match --p/--K"),
+        ({"table": DOUBLE_3_2, "K": 3}, "error: function (p, K) does not match --p/--K"),
+        ({"table": [0, 1, 2], "p": 3, "K": 1}, "error: function (p, K) does not match --p/--K"),
+        ({"A": "1"}, "error: spec must carry either a 'family' or a 'table' key"),
+    ],
+    ids=["other-p", "other-K", "smaller-table", "no-family-or-table"],
+)
+def test_eval_table_spec_errors(capsys, spec, message):
+    assert main(["eval", "--p", "3", "--K", "2", "--x", "5", "--spec", json.dumps(spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+
+
 def test_verify_claims_structure(capsys):
     code, out = run_cli(capsys, "verify", "--p", "2", "--k", "2", "--seed", "7")
     data = json.loads(out)
@@ -625,6 +663,28 @@ def test_verify_pretty_output(capsys):
         '{"disagreements": 0, "measure_preserving_seen": 165, "samples": 300}\n'
         "FAILURES PRESENT (p=2, k=2, seed=0)\n"
     )
+
+
+# sha256 of verify's stdout, recorded before the claims shared one builder;
+# the CI step checks the slow contexts, seed 0 compact, against the same file
+VERIFY_DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "verify_stdout_sha256.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        f"verify --p {p} --k {k} --seed {seed}{flag}"
+        for p, k in [(3, 2), (5, 2), (2, 3), (3, 3), (2, 5), (7, 2)]
+        for seed in (0, 7)
+        for flag in ("", " --pretty")
+    ],
+)
+def test_verify_stdout_matches_pinned_digest(capsys, argv):
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[argv]
 
 
 def test_report_pretty_output(tmp_path, capsys):
