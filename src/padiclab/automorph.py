@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .core import (
     ContextMismatch,
@@ -36,20 +37,11 @@ from .lipschitz import LipschitzFn, _check_table_size, is_bijective_mod
 EXHAUSTIVE_PAIR_LIMIT = 2**10
 
 
-class Operation:
-    """Binary operation on residues mod p**K, applied at a context's precision."""
+class Operation(NamedTuple):
+    """Binary operation on residues mod p**K: ``apply(ctx, x, y)`` at ctx's precision."""
 
-    __slots__ = ("name", "_fn")
-
-    def __init__(self, name: str, fn):
-        self.name = name
-        self._fn = fn
-
-    def apply(self, ctx: PrimeContext, x: int, y: int) -> int:
-        return self._fn(ctx, x, y)
-
-    def __repr__(self) -> str:
-        return f"Operation({self.name!r})"
+    name: str
+    apply: Callable[[PrimeContext, int, int], int]
 
 
 PLUS = Operation("plus", lambda ctx, x, y: (x + y) % ctx.modulus)

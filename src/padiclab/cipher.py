@@ -24,7 +24,9 @@ from .automorph import Operation, operation_by_name
 
 
 def _check_symbols(p: int, symbols: tuple, field: str) -> None:
-    """A prime int alphabet size, and every symbol an int in [0, p)."""
+    """A prime int alphabet size below 2**16, and every symbol an int in [0, p)."""
+    if type(p) is int and p >= 2**16:  # refused before trial division, as PrimeContext does
+        raise ValueError(f"alphabet size must be below 2**16, got {p}")
     if type(p) is not int or not is_prime(p):  # bools and floats are not ints here
         raise ValueError(f"alphabet size must be a prime int, got {p!r}")
     for i, s in enumerate(symbols):

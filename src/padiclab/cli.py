@@ -57,8 +57,14 @@ def _load_json_arg(text: str):
     """Inline JSON, or @path to read a JSON file."""
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(text)
+            text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # the only other ValueError json.loads raises: int()'s digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"a JSON number has more than {limit} digits") from None
 
 
 def _emit(data, args, renderer) -> None:
@@ -81,8 +87,7 @@ def _function_from_spec(ctx: PrimeContext, spec) -> LipschitzFn:
     if isinstance(spec, dict) and "table" in spec:
         if spec.get("p", ctx.p) != ctx.p or spec.get("K", ctx.precision) != ctx.precision:
             raise ValueError("function (p, K) does not match --p/--K")
-        table = sequence_field(spec["table"], "table")
-        return LipschitzFn.from_table(ctx, table, spec.get("provenance"))
+        return fn_from_json({"p": ctx.p, "K": ctx.precision, **spec})
     raise ValueError("spec must carry either a 'family' or a 'table' key")
 
 
@@ -156,14 +161,13 @@ def cmd_check_hom(args):
     fn = fn_from_json(_load_json_arg(args.infile))
     results = []
     for name in args.ops.split(","):
-        report = is_homomorphism(fn, operation_by_name(name.strip()), seed=args.seed)
+        op = operation_by_name(name.strip())
+        report = is_homomorphism(fn, op, seed=args.seed)
         results.append(
             {
-                "op": name.strip(),
+                "op": op.name,
                 "ok": report.ok,
-                "counterexample": list(report.counterexample)
-                if report.counterexample
-                else None,
+                "counterexample": list(report.counterexample) if report.counterexample else None,
                 "mode": report.mode,
                 "checked": report.checked,
             }
@@ -185,8 +189,7 @@ def cmd_enumerate(args):
     return result.to_json(), None
 
 
-def _criterion_equivalence_sample(p: int, k: int, seed: int) -> dict:
-    ctx = PrimeContext(p, k)
+def _criterion_equivalence_sample(ctx: PrimeContext, seed: int) -> dict:
     samples = 300
     rng = random.Random(seed)
     disagreements = 0
@@ -198,7 +201,7 @@ def _criterion_equivalence_sample(p: int, k: int, seed: int) -> dict:
             fn = lipschitz.random_lipschitz(ctx, rng)
         a = preserves_measure_vdp(fn).ok
         b = preserves_measure_coord(fn).ok
-        c = all(is_bijective_mod(fn, level) for level in range(1, k + 1))
+        c = all(is_bijective_mod(fn, level) for level in range(1, ctx.precision + 1))
         if not (a == b == c):
             disagreements += 1
         if a:
@@ -214,44 +217,34 @@ def cmd_verify(args):
     p, k, seed = args.p, args.k, args.seed
     ctx = PrimeContext(p, k)
     claims = []
+
+    def claim(name, passed, **detail):
+        claims.append({"name": name, "pass": passed, "detail": detail})
+
     groups = {op: enumerate_automorphisms(ctx, [op]) for op in ("plus", "xor", "and", "times")}
 
     for op in ("plus", "xor", "and"):
         comparison = compare_with_family(groups[op])
-        claims.append(
-            {
-                "name": f"family-matches-oracle-{op}",
-                "pass": comparison.equal,
-                "detail": {
-                    "enumerated": comparison.enumerated_count,
-                    "family": comparison.family_count,
-                },
-            }
+        claim(
+            f"family-matches-oracle-{op}",
+            comparison.equal,
+            enumerated=comparison.enumerated_count,
+            family=comparison.family_count,
         )
-        expected = family_size(ctx, OP_TO_FAMILY[op])
-        claims.append(
-            {
-                "name": f"count-formula-{op}",
-                "pass": groups[op].count == expected,
-                "detail": {"count": groups[op].count, "expected": expected},
-            }
-        )
+        count, expected = groups[op].count, family_size(ctx, OP_TO_FAMILY[op])
+        claim(f"count-formula-{op}", count == expected, count=count, expected=expected)
 
     # the multiplicative family is compared and reported; quotient-level
     # extras are a finding, surfaced here rather than failed
-    times_comparison = compare_with_family(groups["times"])
-    claims.append(
-        {
-            "name": "family-vs-oracle-times-report",
-            "pass": True,
-            "detail": {
-                "equal": times_comparison.equal,
-                "enumerated": times_comparison.enumerated_count,
-                "family": times_comparison.family_count,
-                "missing": len(times_comparison.missing),
-                "extra": len(times_comparison.extra),
-            },
-        }
+    times = compare_with_family(groups["times"])
+    claim(
+        "family-vs-oracle-times-report",
+        True,
+        equal=times.equal,
+        enumerated=times.enumerated_count,
+        family=times.family_count,
+        missing=len(times.missing),
+        extra=len(times.extra),
     )
 
     # the search imposes each operation's constraints as a conjunction, so
@@ -260,31 +253,19 @@ def cmd_verify(args):
         f"{a}+{b}": len(set(groups[a].automorphisms) & set(groups[b].automorphisms))
         for a, b in OPERATION_PAIRS
     }
-    claims.append(
-        {
-            "name": "trivial-pairs",
-            "pass": all(count == 1 for count in pair_counts.values()),
-            "detail": {"counts": pair_counts},
-        }
-    )
+    claim("trivial-pairs", all(count == 1 for count in pair_counts.values()), counts=pair_counts)
 
-    equivalence = _criterion_equivalence_sample(p, k, seed)
-    claims.append(
-        {
-            "name": "criterion-equivalence",
-            "pass": equivalence["disagreements"] == 0,
-            "detail": equivalence,
-        }
-    )
+    equivalence = _criterion_equivalence_sample(ctx, seed)
+    claim("criterion-equivalence", equivalence["disagreements"] == 0, **equivalence)
 
     all_pass = all(c["pass"] for c in claims)
     payload = {"p": p, "k": k, "seed": seed, "claims": claims, "all_pass": all_pass}
 
     def render(data) -> str:
         lines = []
-        for claim in data["claims"]:
-            status = "PASS" if claim["pass"] else "FAIL"
-            lines.append(f"{status}  {claim['name']}  {json.dumps(claim['detail'], sort_keys=True)}")
+        for c in data["claims"]:
+            status = "PASS" if c["pass"] else "FAIL"
+            lines.append(f"{status}  {c['name']}  {json.dumps(c['detail'], sort_keys=True)}")
         lines.append(
             f"{'ALL PASS' if data['all_pass'] else 'FAILURES PRESENT'} "
             f"(p={data['p']}, k={data['k']}, seed={data['seed']})"
@@ -353,13 +334,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_context(sp, precision):
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument(precision, type=int, required=True)
+
     def add_common(sp):
         sp.add_argument("--pretty", action="store_true", help="human-readable output")
         sp.add_argument("--out", help="write output to this path instead of stdout")
 
     sp = sub.add_parser("eval", help="evaluate a function or family spec at a point")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--K", type=int, required=True)
+    add_context(sp, "--K")
     sp.add_argument("--spec", required=True, help="JSON (or @file): family or table")
     sp.add_argument("--x", type=int, required=True)
     add_common(sp)
@@ -377,8 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("make-aut", help="realize a family spec as a value table")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--K", type=int, required=True)
+    add_context(sp, "--K")
     sp.add_argument("--spec", required=True, help="JSON (or @file)")
     add_common(sp)
     sp.set_defaults(func=cmd_make_aut)
@@ -391,23 +374,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_check_hom)
 
     sp = sub.add_parser("analyze-g", help="scalings commuting with a custom series operation")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--K", type=int, required=True)
+    add_context(sp, "--K")
     sp.add_argument("--g", required=True, help="JSON (or @file): c, a, b, terms")
     add_common(sp)
     sp.set_defaults(func=cmd_analyze_g)
 
     sp = sub.add_parser("enumerate", help="exhaustively enumerate quotient automorphisms")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
+    add_context(sp, "--k")
     sp.add_argument("--ops", required=True, help="comma list: plus,times,xor,and")
     sp.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     add_common(sp)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("verify", help="run the desk-scale claim suite")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
+    add_context(sp, "--k")
     sp.add_argument("--seed", type=int, default=0)
     add_common(sp)
     sp.set_defaults(func=cmd_verify)

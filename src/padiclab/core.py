@@ -85,14 +85,14 @@ class PrimeContext:
             out.append(r)
         return tuple(out)
 
-    def value_of(self, digits) -> int:
-        """Residue encoded by little-endian digits (length <= K)."""
+    def value_of(self, digits, field: str = "digits") -> int:
+        """Residue encoded by little-endian digits (length <= K); errors name ``field``."""
         if len(digits) > self.precision:
-            raise ValueError(f"got {len(digits)} digits, precision is {self.precision}")
+            raise ValueError(f"{field} has {len(digits)} digits, precision is {self.precision}")
         value = 0
         for i, d in enumerate(digits):
             if type(d) is not int or not 0 <= d < self.p:
-                raise ValueError(f"digit {d!r} at position {i}, expected an int in [0, {self.p})")
+                raise ValueError(f"{field}[{i}] = {d!r}, expected an int in [0, {self.p})")
             value += d * self.p**i
         return value
 
@@ -288,12 +288,17 @@ def padic_from_json(ctx: PrimeContext, data, field: str) -> PadicInt:
     A residue lies in [0, p**K).  A string must be ASCII digits with an
     optional leading minus sign, so "1_0", "+3", " 4 " and non-ASCII digits
     are not residues; one with more significant digits than the modulus is
-    refused before int() reads it.
+    refused before int() reads it.  A digit object holds ``digits``, a list
+    of at most K ints in [0, p); its ``p`` and ``K``, where given, must be
+    the context's ints.
     """
     if isinstance(data, dict):
-        if data.get("p", ctx.p) != ctx.p or data.get("K", ctx.precision) != ctx.precision:
-            raise ContextMismatch(f"encoded (p,K) does not match {ctx}")
-        return ctx.from_digits(data["digits"])
+        for key, expected in (("p", ctx.p), ("K", ctx.precision)):
+            value = data.get(key, expected)
+            if type(value) is not int or value != expected:  # bools and floats too
+                raise ContextMismatch(f"{field}.{key} = {value!r}, expected {expected}")
+        digits = sequence_field(data["digits"], f"{field}.digits")
+        return ctx.integer(ctx.value_of(digits, f"{field}.digits"))
     residue = f"a residue in [0, {ctx.modulus})"
     decimal = isinstance(data, str) and re.fullmatch("(-?)0*([0-9]+)", data)
     if decimal:

@@ -51,6 +51,15 @@ def test_word_validation():
         Word(4, (1,))
 
 
+@pytest.mark.parametrize("p", [65537, 2**61 - 1])
+def test_alphabet_of_2_16_or_more_is_refused_before_trial_division(p):
+    # both are prime; trial division alone would take minutes at 2**61 - 1
+    message = rf"^alphabet size must be below 2\*\*16, got {p}$"
+    with pytest.raises(ValueError, match=message):
+        word_from_json({"p": p, "symbols": [1]})
+    with pytest.raises(ValueError, match=message):
+        key_from_json({"kind": "subst", "p": p, "g": [0, 1]})
+
 
 @pytest.mark.parametrize(
     "make,message",

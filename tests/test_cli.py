@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import pathlib
 import resource
@@ -8,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padiclab import cli, oracle
 from padiclab.cli import main
@@ -253,6 +257,131 @@ def test_malformed_input_is_one_error_line(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+# Fuzzing the JSON arguments: any JSON value or text, and objects over the
+# keys each argument is read for, each field well-formed or any value.
+# Contexts stay at p**K <= 125, and at <= 27 for analyze-g, which confirms
+# every candidate unit exhaustively.
+FUZZ_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-1, 8)
+    | st.integers(-1, 8).map(str)
+    | st.floats(-1, 8, allow_nan=False)
+    | st.sampled_from(["plus", "times", "xor", "and", "leaf"]),
+    lambda inner: st.lists(inner, max_size=8)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=16,
+)
+FUZZ_DIGITS = st.lists(st.integers(0, 4), max_size=8)
+FUZZ_FIELDS = {
+    "family": st.sampled_from(["add", "mul", "xor", "and"]),
+    "kind": st.sampled_from(["keystream", "subst", "subst_stream"]),
+    "p": st.sampled_from([2, 3, 5]),
+    "K": st.integers(1, 3),
+    **dict.fromkeys(["A", "a", "s", "b", "c"], st.integers(0, 8) | st.integers(0, 8).map(str)),
+    **dict.fromkeys(["s_list", "gamma", "g", "symbols", "table", "B"], FUZZ_DIGITS),
+    **dict.fromkeys(["alpha", "gs", "terms"], st.lists(FUZZ_DIGITS, max_size=4)),
+    "provenance": st.text(max_size=3),
+}
+
+
+def _fuzz_object(required, optional=()):
+    return st.fixed_dictionaries(
+        {key: FUZZ_FIELDS[key] for key in required},
+        optional={key: FUZZ_FIELDS[key] | FUZZ_VALUES for key in optional},
+    )
+
+
+FUZZ_CONTEXTS = [(p, K) for p in (2, 3, 5, 7, 11) for K in range(1, 8) if p**K <= 125]
+FUZZ_FUNCTION = st.sampled_from(FUZZ_CONTEXTS).flatmap(
+    lambda c: st.fixed_dictionaries(
+        {
+            "p": st.just(c[0]),
+            "K": st.just(c[1]),
+            "table": st.lists(
+                st.integers(0, c[0] ** c[1] - 1), min_size=c[0] ** c[1], max_size=c[0] ** c[1]
+            ),
+        }
+    )
+) | _fuzz_object(["p", "K"], ["table", "B", "provenance"])
+FUZZ_SPEC = _fuzz_object(["family", "A", "a", "s"], ["alpha", "s_list"]) | FUZZ_FUNCTION
+# binary words and keys that cover them, beside objects with any fields
+FUZZ_BITS = st.lists(st.integers(0, 1), min_size=1, max_size=6)
+FUZZ_KEY = st.fixed_dictionaries(
+    {
+        "kind": FUZZ_FIELDS["kind"],
+        "p": st.just(2),
+        "gamma": FUZZ_BITS,
+        "g": st.permutations([0, 1]),
+        "gs": st.lists(st.permutations([0, 1]), min_size=1, max_size=6),
+    }
+) | _fuzz_object(["kind", "p"], ["gamma", "g", "gs"])
+FUZZ_WORD = st.fixed_dictionaries({"p": st.just(2), "symbols": FUZZ_BITS}) | _fuzz_object(
+    ["p", "symbols"]
+)
+FUZZ_FORMULA = st.recursive(
+    st.tuples(st.just("leaf"), st.integers(0, 2)),
+    lambda inner: st.tuples(st.sampled_from(["plus", "times", "xor", "and"]), inner, inner),
+    max_leaves=4,
+)
+
+
+def _fuzz_arg(shaped):
+    """A JSON argument: the shaped value, any JSON value, or any text."""
+    text = st.text(max_size=6).filter(lambda t: not t.startswith("@"))
+    return st.one_of(shaped.map(json.dumps), FUZZ_VALUES.map(json.dumps), text)
+
+
+def _fuzz_context(limit):
+    contexts = [c for c in FUZZ_CONTEXTS if c[0] ** c[1] <= limit]
+    return st.sampled_from(contexts).map(lambda c: ["--p", str(c[0]), "--K", str(c[1])])
+
+
+FUZZ_ARGVS = st.one_of(
+    st.tuples(_fuzz_context(125), _fuzz_arg(FUZZ_SPEC), st.integers(-5, 200)).map(
+        lambda t: ["eval", *t[0], "--spec", t[1], "--x", str(t[2])]
+    ),
+    _fuzz_arg(FUZZ_FUNCTION).map(lambda arg: ["check", "--in", arg]),
+    st.tuples(_fuzz_arg(FUZZ_FUNCTION), st.booleans()).map(
+        lambda t: ["vdp", "--in", t[0]] + (["--inverse"] if t[1] else [])
+    ),
+    st.tuples(_fuzz_context(125), _fuzz_arg(FUZZ_SPEC)).map(
+        lambda t: ["make-aut", *t[0], "--spec", t[1]]
+    ),
+    st.tuples(
+        _fuzz_arg(FUZZ_FUNCTION),
+        st.lists(st.sampled_from(["plus", "times", "xor", "and", "nope"]), min_size=1, max_size=3),
+    ).map(lambda t: ["check-hom", "--in", t[0], "--ops", ",".join(t[1])]),
+    st.tuples(
+        st.sampled_from(["encrypt", "decrypt", "demo"]),
+        _fuzz_arg(FUZZ_KEY),
+        _fuzz_arg(FUZZ_WORD),
+        _fuzz_arg(FUZZ_FORMULA),
+        _fuzz_arg(st.lists(FUZZ_WORD, min_size=1, max_size=3)),
+    ).map(
+        lambda t: ["cipher", t[0], "--key", t[1], "--word", t[2], "--formula", t[3], "--data", t[4]]
+    ),
+    st.tuples(_fuzz_context(27), _fuzz_arg(_fuzz_object([], ["c", "a", "b", "terms"]))).map(
+        lambda t: ["analyze-g", *t[0], "--g", t[1]]
+    ),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(FUZZ_ARGVS)
+def test_fuzzed_json_arguments_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 3), argv
+    if code:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err.getvalue()[-500:])
+    else:
+        assert err.getvalue() == "" and out.getvalue().endswith("\n")
+
+
 # usage errors are validation errors: exit 1, one error line, no usage dump
 USAGE_ERRORS = [
     (["verify", "--p", "7"], "error: the following arguments are required: --k"),
@@ -375,7 +504,7 @@ WORDS_3 = '[{"p":3,"symbols":[1,2]}]'
                 "eval", "--p", "5", "--K", "2",
                 "--spec", '{"family":"add","A":{"digits":[1,true]}}', "--x", "3",
             ],
-            "error: digit True at position 1, expected an int in [0, 5)",
+            "error: A.digits[1] = True, expected an int in [0, 5)",
         ),
         (
             [
@@ -483,6 +612,41 @@ WORDS_3 = '[{"p":3,"symbols":[1,2]}]'
             ["analyze-g", "--p", "3", "--K", "2", "--g", '{"terms":[[1,1,"x"]]}'],
             "error: terms[0][2] = 'x', expected a residue in [0, 9) or a digit object",
         ),
+        # a digit object names its field, and its p and K are the context's ints
+        *(
+            (
+                ["eval", "--p", "5", "--K", "2", "--spec", f'{{"family":"add","A":{A}}}', "--x", "3"],
+                f"error: {message}",
+            )
+            for A, message in [
+                ('{"digits":5}', "A.digits = 5, expected a list"),
+                ('{"digits":[1,1,1]}', "A.digits has 3 digits, precision is 2"),
+                ('{"digits":[1],"K":true}', "A.K = True, expected 2"),
+                ('{"digits":[1],"p":5.0}', "A.p = 5.0, expected 5"),
+                ('{"digits":[1],"p":3}', "A.p = 3, expected 5"),
+            ]
+        ),
+        (
+            [
+                "eval", "--p", "5", "--K", "1",
+                "--spec", '{"family":"add","A":{"digits":[2],"K":true}}', "--x", "3",
+            ],
+            "error: A.K = True, expected 1",
+        ),
+        # a table spec's p and K are ints too: True == 1 and 2.0 == 2
+        (
+            ["eval", "--p", "2", "--K", "1", "--x", "1", "--spec", '{"table":[0,1],"K":true}'],
+            "error: precision must be an int, got True",
+        ),
+        (
+            ["eval", "--p", "2", "--K", "2", "--x", "1", "--spec", '{"table":[0,1,2,3],"p":2.0}'],
+            "error: p must be an int, got 2.0",
+        ),
+        # a bare JSON number past Python's int-conversion limit
+        (
+            ["check", "--in", "[%s]" % ("1" * 5000)],
+            "error: a JSON number has more than 4300 digits",
+        ),
     ],
 )
 def test_non_int_json_field_is_named(capsys, argv, message):
@@ -506,7 +670,8 @@ DOUBLE_3_2 = [0, 2, 4, 6, 8, 1, 3, 5, 7]
     ids=["no-context", "matching-context", "provenance"],
 )
 def test_eval_table_spec(capsys, spec):
-    code, out = run_cli(capsys, "eval", "--p", "3", "--K", "2", "--x", "5", "--spec", json.dumps(spec))
+    argv = ["eval", "--p", "3", "--K", "2", "--x", "5", "--spec", json.dumps(spec)]
+    code, out = run_cli(capsys, *argv)
     assert code == 0
     assert out == '{"K":2,"digits":[1,0],"p":3,"value":1,"x":5}\n'
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,8 @@ def pow_unit_binomial(x, exponent_value: int) -> int:
 def test_context_rejects_composite():
     with pytest.raises(ValueError):
         PrimeContext(4, 2)
+    with pytest.raises(ValueError, match="^p must be prime, got 9$"):  # odd composite
+        PrimeContext(9, 2)
     with pytest.raises(ValueError):
         PrimeContext(1, 2)
 
@@ -112,6 +115,10 @@ def test_arithmetic_examples():
     assert (c23.integer(7) + c23.integer(1)).value == 0  # wraps mod 8
     c33 = PrimeContext(3, 3)
     assert (c33.integer(5) * c33.integer(7)).value == 8  # 35 mod 27
+    assert (c53.integer(2) - c53.integer(3)).value == 124  # wraps mod 125
+    assert (c53.integer(2) - 3).value == 124
+    assert (3 - c53.integer(2)).value == 1
+    assert (3 - c53.integer(2)).ctx == c53
 
 
 def test_context_mismatch_rejected():
@@ -145,6 +152,7 @@ def test_ring_laws_random(a, b, c):
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
     assert x + (-x) == ctx.zero()
+    assert x - y == x + (-y) and a - y == ctx.integer(a) - y
 
 
 def test_digitwise_examples():
@@ -393,8 +401,22 @@ def test_padic_json_roundtrip():
         with pytest.raises(ValueError) as err:
             padic_from_json(ctx, bad, "x")
         assert str(err.value) == f"x = {value}, expected a residue in [0, 125)"
-    with pytest.raises(ContextMismatch):
-        padic_from_json(ctx, {"p": 3, "K": 3, "digits": [1]}, "x")
+    # a digit object's p and K must be the context's ints
+    for bad, message in (
+        ({"p": 3, "K": 3, "digits": [1]}, "x.p = 3, expected 5"),
+        ({"p": 5.0, "digits": [1]}, "x.p = 5.0, expected 5"),
+        ({"K": True, "digits": [1]}, "x.K = True, expected 3"),
+    ):
+        with pytest.raises(ContextMismatch, match=rf"^{re.escape(message)}$"):
+            padic_from_json(ctx, bad, "x")
+    # and its digit errors name the field
+    for bad, message in (
+        ({"digits": 5}, "x.digits = 5, expected a list"),
+        ({"digits": [2, True]}, "x.digits[1] = True, expected an int in [0, 5)"),
+        ({"digits": [1, 2, 3, 4]}, "x.digits has 4 digits, precision is 3"),
+    ):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            padic_from_json(ctx, bad, "x")
     # bools compare equal to 0 and 1, floats to their integer values
     for bad in (True, 2.0, {"digits": [2, True]}, {"digits": [2.0]}):
         with pytest.raises(ValueError):
