@@ -458,8 +458,13 @@ def analyze_custom_op(op: CustomOp) -> GReport:
 
     Nonlinear degrees n force A**(n-1) = 1, collapsing to A**d = 1 with
     d = gcd(n - 1); candidates are found by exhaustive search over the units
-    and each one is confirmed by an exhaustive homomorphism check (which also
-    rules candidates out when the constant term does not scale).
+    and confirmed by exhaustive homomorphism checks (which also rule
+    candidates out when the constant term does not scale).  The passing A
+    form a subgroup, since x -> Ax composes as multiplication and the
+    inverse of a bijective homomorphism is one, and the failing A form whole
+    cosets of it: if A*B passed with B passing, so would A.  So one check
+    decides each new generator or failing coset; a candidate in the group
+    generated so far, or in a failing coset, is not checked again.
     """
     ctx = op.ctx
     if ctx.modulus > EXHAUSTIVE_PAIR_LIMIT:
@@ -474,11 +479,22 @@ def analyze_custom_op(op: CustomOp) -> GReport:
         d = None
         candidates = list(ctx.units())
     operation = op.as_operation()
-    witnesses = tuple(
-        A
-        for A in candidates
-        if is_homomorphism(realize(AddSpec(ctx.integer(A))), operation).ok
-    )
+    m = ctx.modulus
+    passing = {1}
+    failing_inverses: list[int] = []
+    for A in candidates:
+        if A in passing or any(A * b_inv % m in passing for b_inv in failing_inverses):
+            continue
+        if not is_homomorphism(realize(AddSpec(ctx.integer(A))), operation).ok:
+            failing_inverses.append(pow(A, -1, m))
+            continue
+        # the units commute, so passing and A generate the cosets passing * A**i
+        power, new = A, set()
+        while power not in passing:
+            new.update(B * power % m for B in passing)
+            power = power * A % m
+        passing |= new
+    witnesses = tuple(A for A in candidates if A in passing)
     # full-ring expectation from the degree pattern and the constant term
     if d is None:
         predicted = op.constant.value == 0 and bool(op.linear_x) and bool(op.linear_y)

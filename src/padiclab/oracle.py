@@ -13,9 +13,11 @@ Each level is searched as a union of cosets rather than map by map.
 Reduction mod p**j is a group homomorphism from the maps found at level
 j+1 onto a subgroup of the maps found at level j, so its fibers are the
 cosets of its kernel ``K_{j+1}``, the maps that reduce to the identity.  The
-search therefore enumerates ``K_{j+1}`` once, looks for one lift ``h_g`` of
-each map ``g`` of level j, and composes: level j+1 is the union of the
-``h_g o K_{j+1}``.
+search therefore enumerates ``K_{j+1}`` once, finds one lift ``h_g`` of each
+map ``g`` of the image ``H_j``, and composes: level j+1 is the union of the
+``h_g o K_{j+1}``.  As in the transversal construction of Schreier-Sims,
+with the p-adic tower as the subgroup chain, ``H_j`` is found by generators:
+one first-lift search per generator and per coset of maps without a lift.
 
 The enumerated sets are compared against the realized parametric families.
 Any disagreement is reported with witnesses -- at finite precision the
@@ -31,7 +33,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import PrimeContext
-from .lipschitz import MAX_TABLE_SIZE, LipschitzFn, _check_table_size
+from .lipschitz import MAX_TABLE_SIZE, _check_table_size
 from .automorph import (
     AddSpec,
     AndSpec,
@@ -55,7 +57,8 @@ class BudgetExceeded(RuntimeError):
     ``level`` is the precision the search was working on when it stopped
     (it was extending maps to Z/p**level) and ``found`` counts the complete
     maps of that level known so far: the kernel maps found, or, once the
-    kernel is complete, every coset of the lifts found.
+    kernel is complete, the kernel's cosets ``h_g o K`` for every map ``g``
+    of the subgroup generated by the lifts found.
     """
 
     def __init__(self, nodes: int, budget: int, level: int, found: int):
@@ -114,14 +117,24 @@ def enumerate_automorphisms(
 
     The level-(j+1) maps form a union of cosets.  The search runs once in
     full from the identity on Z/p**j to collect the kernel ``K_{j+1}``,
-    whose first map is the identity's lift, then once per other map ``g``
-    of level j, stopping at its first lift ``h_g`` (a ``g`` with no lift
-    drops out), and the next level is every ``h_g o kappa`` with ``kappa``
-    in ``K_{j+1}``.  This is exact: composites and
-    inverses of bijective homomorphisms are homomorphisms, and reduction
-    mod p**j respects composition, so the level-(j+1) maps form a group,
-    reduction is a homomorphism from it, and any other lift ``f`` of ``g``
-    is ``h_g o (h_g**-1 o f)`` with ``h_g**-1 o f`` in the kernel.  Nothing
+    whose first map is the identity's lift.  ``lift_of`` holds one lift
+    ``h_g`` for each map ``g`` found in ``H_j``, the level-j maps that lift.
+    The other maps of level j are walked in lexicographic order; one in
+    ``lift_of``, or in the coset ``b o H_j`` of a ``b`` found without a
+    lift, is skipped, and any other is searched up to its first lift.  A
+    map with a lift becomes a generator, and ``lift_of`` is closed
+    breadth-first under the generators, with ``h_f o h_s`` as the lift of
+    ``f o s``.  The next level is every ``lift_of[g] o kappa`` with
+    ``kappa`` in ``K_{j+1}``.
+
+    This is exact: composites and inverses of bijective homomorphisms are
+    homomorphisms, and reduction mod p**j respects composition, so the
+    level-(j+1) maps form a group and reduction is a homomorphism from it.
+    Its image ``H_j``, the maps that lift, is a subgroup, and the maps that
+    do not lift form whole cosets of it: if ``b o h`` lifted, with ``h`` in
+    ``H_j``, so would ``b``.  So the walk skips only maps it has classified
+    and ends with all of ``H_j``, and any other lift ``f`` of ``g`` is
+    ``h_g o (h_g**-1 o f)`` with ``h_g**-1 o f`` in the kernel.  Nothing
     here needs the op to be commutative or to reduce from one level to the
     next.  ``nodes`` counts value assignments, branched or forced, summed
     over the kernel searches and the first-lift searches.
@@ -229,6 +242,9 @@ def enumerate_automorphisms(
                     break
         return found
 
+    def compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+        return tuple([a[y] for y in b])
+
     group: list[tuple[int, ...]] = [(0,)]
     for j in range(k):
         # group[0] is the identity, and so is the kernel's first solution:
@@ -238,19 +254,34 @@ def enumerate_automorphisms(
         # the identity's first lift, so that search is not run again.
         known = 0
         kernel = extend(j, group[0], False)
-        known = len(kernel)  # the identity's coset
-        lifts = kernel[:1]
+        lift_of = {group[0]: kernel[0]}
+        generators = []  # (g, h_g) pairs
+        unlifted: list[tuple[int, ...]] = []  # b**-1 for each b without a lift
         for g in group[1:]:
-            lifts.extend(extend(j, g, True))
-            known = len(lifts) * len(kernel)
-            if known * p ** (j + 1) > MAX_TABLE_SIZE:
-                raise ValueError(
-                    f"the maps mod p**{j + 1} would hold more than "
-                    f"{MAX_TABLE_SIZE} entries in all (desk-scale cap)"
-                )
-        group = [tuple([h[y] for y in kappa]) for h in lifts for kappa in kernel]
+            if g in lift_of or any(compose(b_inv, g) in lift_of for b_inv in unlifted):
+                continue
+            known = len(lift_of) * len(kernel)
+            lifts = extend(j, g, True)
+            if not lifts:
+                # a permutation's argsort is its inverse
+                unlifted.append(tuple(sorted(range(len(g)), key=g.__getitem__)))
+                continue
+            generators.append((g, lifts[0]))
+            queue = list(lift_of)
+            for f in queue:
+                for s, h_s in generators:
+                    fs = compose(f, s)
+                    if fs not in lift_of:
+                        lift_of[fs] = compose(lift_of[f], h_s)
+                        queue.append(fs)
+                        if len(lift_of) * len(kernel) * p ** (j + 1) > MAX_TABLE_SIZE:
+                            raise ValueError(
+                                f"the maps mod p**{j + 1} would hold more than "
+                                f"{MAX_TABLE_SIZE} entries in all (desk-scale cap)"
+                            )
+        group = sorted(compose(h, kappa) for h in lift_of.values() for kappa in kernel)
     names = tuple(op.name for op in operations)
-    return EnumerationResult(p, k, names, tuple(sorted(group)), nodes)
+    return EnumerationResult(p, k, names, tuple(group), nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +351,26 @@ def family_tables(ctx: PrimeContext, family: str) -> set[tuple[int, ...]]:
     exponent a acts on the principal units mod p**k, a group of order
     p**(k-1), and A enters only as (p*A)**m with m >= 1, so both matter
     only mod p**(k-1).  At k = 1 the bound p keeps every unit.  "xor" and
-    "and" members are assembled from level digit maps built once per choice.
+    "and" members are built as a product over the levels, sharing prefixes:
+    each table at precision n, the common prefix of every member that makes
+    the same choices below level n, is extended once by each level-n
+    choice's digit maps (built once per choice by ``level_digit_maps``), the
+    step ``LipschitzFn.from_subfunctions`` takes, instead of assembling
+    every member from level 0.
     """
     if family in ("xor", "and"):
         _check_table_size(ctx)
-        choices = enumerate(_digit_levels(ctx, family))
-        levels = [[level_digit_maps(ctx.p, k, param) for param in level] for k, level in choices]
-        return {LipschitzFn.from_subfunctions(ctx, maps).table for maps in itertools.product(*levels)}
+        p = ctx.p
+        tables = [(0,)]
+        for k, level in enumerate(_digit_levels(ctx, family)):
+            block = p**k
+            choices = [level_digit_maps(p, k, param) for param in level]
+            tables = [
+                tuple([v + phi[d] * block for d in range(p) for v, phi in zip(t, maps)])
+                for t in tables
+                for maps in choices
+            ]
+        return set(tables)
     if family == "mul":
         p = ctx.p
         specs = _mul_specs(ctx, [u for u in range(1, max(p, p ** (ctx.precision - 1))) if u % p])

@@ -395,6 +395,67 @@ def test_analyzer_prediction_is_met(p, K):
             assert report.group_order > 1, (constant, a, b, terms)
 
 
+def per_candidate_witnesses(op):
+    """Reference: the analyzer's witnesses with one homomorphism check per candidate."""
+    ctx = op.ctx
+    degrees = op.degrees()
+    if degrees:
+        d = math.gcd(*(n - 1 for n in degrees))
+        candidates = [A for A in ctx.units() if pow(A, d, ctx.modulus) == 1]
+    else:
+        candidates = list(ctx.units())
+    operation = op.as_operation()
+    return tuple(
+        A for A in candidates if is_homomorphism(realize(AddSpec(ctx.integer(A))), operation).ok
+    )
+
+
+# linear ops, a constant term, nonlinear terms whose degree gcd leaves every
+# unit or only a few as candidates, and terms under which some candidates fail
+WITNESS_PATTERNS = ANALYZER_PATTERNS + [
+    (0, 1, 1, []),
+    (0, 3, 0, []),
+    (2, 1, 1, []),
+    (0, 1, 1, [(1, 1, 1)]),
+    (0, 1, 1, [(2, 1, 1)]),
+    (0, 0, 0, [(2, 1, 1), (1, 2, 1)]),
+    (0, 1, 0, [(3, 1, 1)]),
+    (0, 0, 0, [(3, 3, 1), (1, 2, 2)]),
+    (3, 1, 2, [(2, 2, 1)]),
+]
+
+
+# the reference checks every pair for every candidate, seconds per linear op
+# at 243 residues, so there only the nonlinear patterns run
+@pytest.mark.parametrize(
+    "p,K,nonlinear_only",
+    [(2, 3, False), (2, 5, False), (3, 3, False), (5, 2, False), (7, 2, False), (3, 5, True)],
+)
+def test_analyzer_witnesses_match_per_candidate_check(p, K, nonlinear_only):
+    # the analyzer checks one candidate per new generator or failing coset;
+    # the reference checks them all
+    c = PrimeContext(p, K)
+    for constant, a, b, terms in WITNESS_PATTERNS:
+        if nonlinear_only and not terms:
+            continue
+        op = CustomOp(c, constant, a, b, terms)
+        report = analyze_custom_op(op)
+        assert report.witnesses == per_candidate_witnesses(op), (constant, a, b, terms)
+        assert report.group_order == len(report.witnesses)
+
+
+@pytest.mark.parametrize("p,K", [(2, 8), (3, 5)])
+def test_analyzer_linear_ops_at_reach(p, K):
+    # every unit scales a linear op without a constant term, and only the
+    # identity one with a unit constant term, since A * 1 must be 1; the
+    # analyzer checks the generators of the units (one or two) in full, or
+    # one candidate per failing coset, here every unit but 1, each refuted
+    # at its first pair
+    c = PrimeContext(p, K)
+    assert analyze_custom_op(CustomOp(c, 0, 1, 1, [])).witnesses == tuple(c.units())
+    assert analyze_custom_op(CustomOp(c, 1, 1, 1, [])).witnesses == (1,)
+
+
 # ---------------------------------------------------------------------------
 # JSON encodings
 # ---------------------------------------------------------------------------

@@ -163,16 +163,17 @@ def test_enumerate_budget_exit_code(capsys):
 
 
 def test_enumerate_budget_error_is_one_line(capsys):
-    # 21 assignments on Z/5, 125 for the kernel on Z/25 (whose first map is
-    # the identity's lift) and 25 per other first lift: node 201 falls inside
-    # the lift of x -> 4x, when the cosets of the identity, 2x and 3x (3 x 5
-    # maps x -> Ax) are known
-    code = main(["enumerate", "--p", "5", "--k", "2", "--ops", "plus", "--budget", "200"])
+    # 21 assignments on Z/5 and 125 for the kernel on Z/25 (whose first map
+    # is the identity's lift), 146 in all; then x -> 2x, the one map searched
+    # since 2 generates (Z/5)^*, takes 25 for its first lift: node 151 falls
+    # inside that lift, when only the identity's coset (5 maps x -> Ax) is
+    # known
+    code = main(["enumerate", "--p", "5", "--k", "2", "--ops", "plus", "--budget", "150"])
     err = capsys.readouterr().err
     assert code == 3
     assert err.splitlines() == [
-        "error: search expanded 201 nodes, budget 200; stopped at level 2 "
-        "(maps mod p**2) with 15 complete maps found"
+        "error: search expanded 151 nodes, budget 150; stopped at level 2 "
+        "(maps mod p**2) with 5 complete maps found"
     ]
 
 

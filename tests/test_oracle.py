@@ -284,6 +284,24 @@ def test_coset_search_counts_at_full_reach(p, k, times):
     assert enumerate_automorphisms(ctx, ["times"]).count == times
 
 
+# value assignments per single-op search at the five contexts of the bench's
+# verify grid, 4,569 in all (8,378 when every map of a level had its own
+# first-lift search); node counts do not depend on the machine
+GRID_NODES = {
+    (3, 2): {"plus": 43, "xor": 61, "and": 41, "times": 33},
+    (5, 2): {"plus": 171, "xor": 471, "and": 158, "times": 198},
+    (2, 3): {"plus": 35, "xor": 47, "and": 42, "times": 34},
+    (3, 3): {"plus": 151, "xor": 529, "and": 205, "times": 216},
+    (2, 5): {"plus": 227, "xor": 711, "and": 434, "times": 762},
+}
+
+
+@pytest.mark.parametrize("p,k", list(GRID_NODES))
+def test_node_counts_on_the_verify_grid(p, k):
+    ctx = PrimeContext(p, k)
+    assert {op: enumerate_automorphisms(ctx, [op]).nodes for op in GRID_NODES[p, k]} == GRID_NODES[p, k]
+
+
 def test_output_larger_than_the_cap_is_refused(monkeypatch):
     # (3,3) xor has 12 maps mod 9 (108 entries) and 216 mod 27 (5,832); the
     # op tables (27**2 = 729 entries) stay under the cap, the output does not
@@ -336,21 +354,25 @@ def test_budget_exceeded_is_raised_not_truncated():
 
 
 def test_budget_exceeded_reports_progress():
-    # 201 assignments. Z/5: the kernel search tries h(0) = 0..4 (four are
+    # 151 assignments. Z/5: the kernel search tries h(0) = 0..4 (four are
     # cut at once, since h(0 + 0) must be h(0) + h(0)) and finds the 4 maps
     # x -> Ax, each h(1) = A forcing h(2), h(3), h(4): 5 + 16 = 21; the one
     # map on Z/1 is the identity, whose first lift is the kernel's first
     # map, so no lift is searched. Z/25: the kernel search tries h(0) = 0,
     # 5, .., 20 and finds the 5 maps x -> Ax with A = 1 mod 5, each h(1)
-    # forcing the other 23 values: 5 + 120 = 125; the identity's lift is
-    # again the kernel's first map, and each other first lift takes 25. The
-    # lifts of x -> 2x and x -> 3x bring the count to 21 + 125 + 25 + 25 =
-    # 196, so node 201 falls inside the lift of x -> 4x, when 3 lifts times
-    # 5 kernel maps, 15 maps, are known
+    # forcing the other 23 values: 5 + 120 = 125, 146 in all; the identity's
+    # lift is again the kernel's first map. The walk then reaches x -> 2x,
+    # which is not yet in the lifted subgroup, and its first-lift search
+    # takes nodes 147 to 171 (25 values), so node 151 falls inside it, when
+    # only the identity's lift is known: 1 lift times 5 kernel maps, 5 maps.
+    # Within budget that lift would make x -> 2x a generator, and since 2
+    # generates (Z/5)^*, the closure lifts x -> 3x and x -> 4x with no
+    # search: 171 nodes in all
     with pytest.raises(BudgetExceeded) as info:
-        enumerate_automorphisms(PrimeContext(5, 2), ["plus"], node_budget=200)
+        enumerate_automorphisms(PrimeContext(5, 2), ["plus"], node_budget=150)
     exc = info.value
-    assert (exc.nodes, exc.budget, exc.level, exc.found) == (201, 200, 2, 15)
+    assert (exc.nodes, exc.budget, exc.level, exc.found) == (151, 150, 2, 5)
+    assert enumerate_automorphisms(PrimeContext(5, 2), ["plus"]).nodes == 171
     # 3 assignments: h(0) = 0, then h(1) = 1 forces h(2) = 2 and is cut
     # before h(3), still on Z/5
     with pytest.raises(BudgetExceeded) as info:
@@ -421,9 +443,11 @@ def test_mul_family_tables_match_every_parameter_choice(p, k):
 
 
 @pytest.mark.parametrize("family", ["xor", "and"])
-@pytest.mark.parametrize("p,k", [(2, 1), (2, 5), (3, 3), (5, 2), (7, 2)])
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 5), (3, 3), (5, 2), (7, 2), (3, 4)])
 def test_digit_family_tables_match_every_parameter_choice(family, p, k):
-    # the reference realizes every spec; family_tables builds no spec
+    # the reference realizes every spec; family_tables builds no spec and
+    # shares each prefix's table among its extensions (xor at (3,4): 2, 12
+    # and 216 prefixes at precision 1, 2 and 3 under 11,664 members)
     ctx = PrimeContext(p, k)
     every_choice = {realize(spec).table for spec in family_specs(ctx, family)}
     assert family_tables(ctx, family) == every_choice
