@@ -53,10 +53,9 @@ OPERATIONS = {op.name: op for op in (PLUS, TIMES, XOR, AND)}
 
 
 def operation_by_name(name: str) -> Operation:
-    try:
+    if isinstance(name, str) and name in OPERATIONS:
         return OPERATIONS[name]
-    except KeyError:
-        raise ValueError(f"unknown operation {name!r}; choose from {sorted(OPERATIONS)}")
+    raise ValueError(f"unknown operation {name!r}; choose from {sorted(OPERATIONS)}")
 
 
 class CustomOp:
@@ -185,11 +184,11 @@ class XorSpec:
     """Triangular digit-linear map: output digit k is a mod-p combination
     of input digits 0..k with a nonzero coefficient on digit k."""
 
-    context: PrimeContext
+    ctx: PrimeContext
     alpha: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        ctx = self.context
+        ctx = self.ctx
         alpha = sequence_field(self.alpha, "alpha")
         alpha = tuple(sequence_field(row, f"alpha[{k}]") for k, row in enumerate(alpha))
         object.__setattr__(self, "alpha", alpha)
@@ -204,21 +203,17 @@ class XorSpec:
             if row[k] % ctx.p == 0:
                 raise ValueError(f"diagonal coefficient of row {k} must be nonzero")
 
-    @property
-    def ctx(self) -> PrimeContext:
-        return self.context
-
 
 @dataclass(frozen=True)
 class AndSpec:
     """Digit-power map: output digit k is (input digit k) ** s_list[k] mod p,
     with every exponent coprime to p-1."""
 
-    context: PrimeContext
+    ctx: PrimeContext
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        ctx = self.context
+        ctx = self.ctx
         object.__setattr__(self, "exponents", sequence_field(self.exponents, "s_list"))
         if len(self.exponents) != ctx.precision:
             raise ValueError(
@@ -229,10 +224,6 @@ class AndSpec:
                 raise ValueError(f"s_list[{i}] = {e!r}, expected an int in [1, {ctx.p - 1}]")
             if math.gcd(e, ctx.p - 1) != 1:
                 raise ValueError(f"exponent {e} not coprime to p-1={ctx.p - 1}")
-
-    @property
-    def ctx(self) -> PrimeContext:
-        return self.context
 
 
 AutSpec = AddSpec | MulSpec | XorSpec | AndSpec

@@ -89,7 +89,7 @@ def word_op(x: Word, y: Word, op: "Operation | str") -> Word:
         raise ValueError(f"alphabet mismatch: {x.p} vs {y.p}")
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    if isinstance(op, str):
+    if not isinstance(op, Operation):
         op = operation_by_name(op)
     ctx = PrimeContext(x.p, len(x))
     return tau_inverse(op.apply(ctx, tau(x), tau(y)), len(x), x.p)
@@ -253,54 +253,44 @@ def model_fn(key: CipherKey, ctx: PrimeContext) -> LipschitzFn:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Leaf:
-    index: int
+def parse_formula(nested) -> tuple:
+    """Check ["xor", ["leaf", 0], ["leaf", 1]]-style nested arrays.
 
-
-@dataclass(frozen=True)
-class Node:
-    op: str
-    left: "Leaf | Node"
-    right: "Leaf | Node"
-
-
-FormulaTree = Leaf | Node
-
-
-def parse_formula(nested) -> FormulaTree:
-    """Parse ["xor", ["leaf", 0], ["leaf", 1]]-style nested arrays."""
+    Returns the same nested form as tuples: ("leaf", index) or
+    (op, left, right).
+    """
     if not isinstance(nested, (list, tuple)) or not nested:
         raise ValueError(f"malformed formula node: {nested!r}")
     head = nested[0]
     if head == "leaf":
         if len(nested) != 2 or type(nested[1]) is not int:
             raise ValueError(f"leaf takes one int index: {nested!r}")
-        return Leaf(nested[1])
+        return ("leaf", nested[1])
     if len(nested) != 3:
         raise ValueError(f"operation node takes two children: {nested!r}")
     operation_by_name(head)  # validates the name
-    return Node(head, parse_formula(nested[1]), parse_formula(nested[2]))
+    return (head, parse_formula(nested[1]), parse_formula(nested[2]))
 
 
-def formula_to_json(tree: FormulaTree):
-    if isinstance(tree, Leaf):
-        return ["leaf", tree.index]
-    return [tree.op, formula_to_json(tree.left), formula_to_json(tree.right)]
+def formula_to_json(tree: tuple) -> list:
+    if tree[0] == "leaf":
+        return list(tree)
+    return [tree[0], formula_to_json(tree[1]), formula_to_json(tree[2])]
 
 
-def formula_ops(tree: FormulaTree) -> set[str]:
-    if isinstance(tree, Leaf):
+def formula_ops(tree: tuple) -> set[str]:
+    if tree[0] == "leaf":
         return set()
-    return {tree.op} | formula_ops(tree.left) | formula_ops(tree.right)
+    return {tree[0]} | formula_ops(tree[1]) | formula_ops(tree[2])
 
 
-def eval_formula(tree: FormulaTree, data: list[Word]) -> Word:
-    if isinstance(tree, Leaf):
-        if not (0 <= tree.index < len(data)):
-            raise ValueError(f"leaf index {tree.index} outside the data list")
-        return data[tree.index]
-    return word_op(eval_formula(tree.left, data), eval_formula(tree.right, data), tree.op)
+def eval_formula(tree: tuple, data: list[Word]) -> Word:
+    if tree[0] == "leaf":
+        if not (0 <= tree[1] < len(data)):
+            raise ValueError(f"leaf index {tree[1]} outside the data list")
+        return data[tree[1]]
+    op, left, right = tree
+    return word_op(eval_formula(left, data), eval_formula(right, data), op)
 
 
 @dataclass(frozen=True)
@@ -313,7 +303,7 @@ class HomomorphicDemo:
     sides differ.
     """
 
-    formula: FormulaTree
+    formula: tuple
     plain_result: Word
     encrypted_plain_result: Word
     encrypted_inputs: tuple[Word, ...]
@@ -334,7 +324,7 @@ class HomomorphicDemo:
 
 
 def homomorphic_eval(
-    formula: FormulaTree, data: list[Word], key: CipherKey
+    formula: tuple, data: list[Word], key: CipherKey
 ) -> HomomorphicDemo:
     """Compare computing-then-encrypting against computing on ciphertexts."""
     if not data:

@@ -241,9 +241,6 @@ class PadicInt:
     def is_unit(self) -> bool:
         return self.value % self.ctx.p != 0
 
-    def digit(self, i: int) -> int:
-        return self.digits[i]
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PadicInt):
             return self.ctx == other.ctx and self.value == other.value

@@ -9,7 +9,10 @@ from padiclab import (
     AND,
     AddSpec,
     AndSpec,
+    ContextMismatch,
     CustomOp,
+    HomReport,
+    LipschitzFn,
     MulSpec,
     PLUS,
     PrimeContext,
@@ -191,6 +194,19 @@ def test_hom_random_mode_beyond_exhaustive_limit():
     f = realize(AddSpec(c.integer(3)))
     report = is_homomorphism(f, PLUS, seed=1, samples=2000)
     assert report.ok and report.mode == "random" and report.checked == 2000
+
+
+def test_hom_random_mode_reports_its_counterexample():
+    f = realize(AddSpec(PrimeContext(2, 11).integer(3)))
+    report = is_homomorphism(f, XOR, seed=5)
+    assert report == HomReport(ok=False, counterexample=(1046, 1468), mode="random", checked=1)
+    assert is_homomorphism(f, XOR, seed=5) == report  # the seed fixes the draws
+
+
+def test_automorphism_needs_a_bijection():
+    constant = LipschitzFn.from_table(PrimeContext(3, 2), [0] * 9)
+    assert is_homomorphism(constant, PLUS).ok
+    assert not is_automorphism(constant, [PLUS])
 
 
 def test_identity_is_automorphism_for_everything():
@@ -495,3 +511,55 @@ def test_operation_by_name():
     assert operation_by_name("plus") is PLUS
     with pytest.raises(ValueError):
         operation_by_name("minus")
+
+
+@pytest.mark.parametrize(
+    "name", ["minus", ["plus"], ["leaf", 0], {"plus": 1}, None, 0, b"plus"], ids=repr
+)
+def test_operation_by_name_refuses_every_unknown_name(name):
+    with pytest.raises(ValueError) as info:
+        operation_by_name(name)
+    assert str(info.value) == f"unknown operation {name!r}; choose from ['and', 'plus', 'times', 'xor']"
+
+
+C32, C33, C52 = PrimeContext(3, 2), PrimeContext(3, 3), PrimeContext(5, 2)
+
+
+@pytest.mark.parametrize(
+    "make,error,message",
+    [
+        pytest.param(
+            lambda: XorSpec(C32, [[1], [1]]), ValueError, "row 1 must have 2 entries, got 1",
+            id="xor-row-length",
+        ),
+        pytest.param(
+            lambda: CustomOp(C32, C52.integer(1), 0, 0),
+            ContextMismatch,
+            "PrimeContext(p=3, precision=2) vs PrimeContext(p=5, precision=2)",
+            id="custom-op-context",
+        ),
+        pytest.param(
+            lambda: MulSpec(1, C32.one(), C33.one()),
+            ContextMismatch,
+            "PrimeContext(p=3, precision=2) vs PrimeContext(p=3, precision=3)",
+            id="mul-spec-context",
+        ),
+        pytest.param(
+            lambda: compose_mul(MulSpec(1, C32.one(), C32.one()), MulSpec(1, C33.one(), C33.one())),
+            ContextMismatch,
+            "PrimeContext(p=3, precision=2) vs PrimeContext(p=3, precision=3)",
+            id="compose-mul-context",
+        ),
+        pytest.param(
+            lambda: analyze_custom_op(CustomOp(PrimeContext(2, 11), 0, 1, 1)),
+            ValueError,
+            "modulus 2048 over the analyzer cap 1024",
+            id="analyzer-cap",
+        ),
+    ],
+)
+def test_refusals_name_their_cause(make, error, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -15,6 +15,7 @@ from padiclab import (
     encrypt,
     eval_formula,
     formula_ops,
+    formula_to_json,
     homomorphic_eval,
     is_homomorphism,
     key_from_json,
@@ -375,3 +376,66 @@ def test_demo_record_json():
     data = demo.to_json()
     assert data["formula"] == ["xor", ["leaf", 0], ["leaf", 1]]
     assert "equal" in data and "mismatch_positions" in data
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        pytest.param(lambda: Word(3, (1, 2)).prefix(0), "prefix length 0 outside [1, 2]", id="prefix-0"),
+        pytest.param(lambda: Word(3, (1, 2)).prefix(3), "prefix length 3 outside [1, 2]", id="prefix-3"),
+        pytest.param(lambda: SubstitutionStreamKey(3, ()), "need at least one permutation", id="empty-gs"),
+        pytest.param(
+            lambda: word_op(Word(3, (1,)), Word(5, (1,)), "plus"), "alphabet mismatch: 3 vs 5",
+            id="word-op-alphabet",
+        ),
+        pytest.param(
+            lambda: model_fn(KeystreamKey(3, (1, 1)), PrimeContext(5, 2)),
+            "alphabet mismatch: key 3, context 5",
+            id="model-fn-alphabet",
+        ),
+        pytest.param(
+            lambda: parse_formula(["xor", ["leaf", 0]]),
+            "operation node takes two children: ['xor', ['leaf', 0]]",
+            id="two-children",
+        ),
+        pytest.param(
+            lambda: eval_formula(parse_formula(["leaf", 2]), [Word(3, (1,))]),
+            "leaf index 2 outside the data list",
+            id="leaf-index",
+        ),
+        pytest.param(
+            lambda: homomorphic_eval(parse_formula(["leaf", 0]), [], KeystreamKey(3, (1,))),
+            "need at least one data word",
+            id="no-data",
+        ),
+        pytest.param(
+            lambda: homomorphic_eval(
+                parse_formula(["leaf", 0]), [Word(3, (1,)), Word(3, (1, 2))], KeystreamKey(3, (1, 1))
+            ),
+            "all data words must have the same length",
+            id="unequal-lengths",
+        ),
+        # an operation name is a known string; a list is not, hashable or not
+        pytest.param(
+            lambda: parse_formula([["leaf", 0], ["leaf", 0], ["leaf", 0]]),
+            "unknown operation ['leaf', 0]; choose from ['and', 'plus', 'times', 'xor']",
+            id="list-as-op-name",
+        ),
+        pytest.param(
+            lambda: word_op(Word(3, (1,)), Word(3, (2,)), ["plus"]),
+            "unknown operation ['plus']; choose from ['and', 'plus', 'times', 'xor']",
+            id="word-op-list-name",
+        ),
+    ],
+)
+def test_refusals_name_their_cause(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_parsed_formula_is_its_nested_form():
+    nested = ["xor", ["leaf", 0], ["and", ["leaf", 1], ["leaf", 0]]]
+    tree = parse_formula(nested)
+    assert tree == ("xor", ("leaf", 0), ("and", ("leaf", 1), ("leaf", 0)))
+    assert formula_to_json(tree) == nested

@@ -648,6 +648,17 @@ WORDS_3 = '[{"p":3,"symbols":[1,2]}]'
             ["check", "--in", "[%s]" % ("1" * 5000)],
             "error: a JSON number has more than 4300 digits",
         ),
+        # a formula's operation name is one of four strings, not any JSON value
+        *(
+            (
+                [
+                    "cipher", "demo", "--key", KEY_3,
+                    "--formula", f'[{op},["leaf",0],["leaf",0]]', "--data", WORDS_3,
+                ],
+                f"error: unknown operation {name}; choose from ['and', 'plus', 'times', 'xor']",
+            )
+            for op, name in [('["leaf",0]', "['leaf', 0]"), ("7", "7"), ('{"xor":1}', "{'xor': 1}")]
+        ),
     ],
 )
 def test_non_int_json_field_is_named(capsys, argv, message):
@@ -655,6 +666,26 @@ def test_non_int_json_field_is_named(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [message]
+
+
+# Deep nesting runs in-process: Linux caps one argument of a child process at
+# 128 KiB. The recursion message's tail differs between Python versions.
+def test_deeply_nested_spec_is_one_error_line(capsys):
+    spec = "[" * 100_000 + "]" * 100_000
+    assert main(["eval", "--p", "3", "--K", "2", "--x", "1", "--spec", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: maximum recursion depth exceeded")
+
+
+def test_formula_900_deep_runs(capsys):
+    depth = 900
+    formula = '["xor",["leaf",0],' * (depth - 1) + '["leaf",0]' + "]" * (depth - 1)
+    argv = ["cipher", "demo", "--key", KEY_3, "--formula", formula, "--data", WORDS_3]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.startswith('{"cipher_result":')
 
 
 # x -> 2x mod 9, tower-compatible at (3,2)

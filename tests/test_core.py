@@ -388,6 +388,30 @@ def test_pow_unit_rejects_non_principal():
         pow_unit(PrimeContext(5, 3).integer(2), 2)
 
 
+@pytest.mark.parametrize(
+    "make,error,message",
+    [
+        pytest.param(
+            lambda: pow_unit(PrimeContext(3, 2).integer(4), PrimeContext(3, 3).integer(2)),
+            ContextMismatch,
+            "PrimeContext(p=3, precision=2) vs PrimeContext(p=3, precision=3)",
+            id="pow-unit-context",
+        ),
+        pytest.param(
+            lambda: teichmuller(PrimeContext(3, 2).integer(3)),
+            ValueError,
+            "PadicInt(3 = [0, 1] base 3) is not a unit",
+            id="teichmuller-non-unit",
+        ),
+    ],
+)
+def test_refusals_name_their_cause(make, error, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_padic_json_roundtrip():
     ctx = PrimeContext(5, 3)
     x = ctx.integer(107)

@@ -11,6 +11,7 @@ from padiclab import (
     CompatibilityViolation,
     LipschitzFn,
     PrimeContext,
+    VdpSeries,
     compose,
     coordinate_subfunctions,
     fn_from_json,
@@ -300,3 +301,28 @@ def test_fn_json_roundtrip():
     data = fn_to_json(f)
     assert data["p"] == 3 and data["K"] == 2
     assert fn_from_json(data) == f
+
+
+C32 = PrimeContext(3, 2)
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        pytest.param(
+            lambda: compose(identity(C32), identity(PrimeContext(3, 3))),
+            "context mismatch: PrimeContext(p=3, precision=2) vs PrimeContext(p=3, precision=3)",
+            id="compose-context",
+        ),
+        pytest.param(lambda: is_bijective_mod(identity(C32), 0), "level 0 outside [1, 2]", id="level-0"),
+        pytest.param(lambda: is_bijective_mod(identity(C32), 3), "level 3 outside [1, 2]", id="level-3"),
+        pytest.param(
+            lambda: vdp_inverse(VdpSeries(C32, (0,) * 8)), "need 9 coefficients, got 8",
+            id="vdp-inverse-length",
+        ),
+    ],
+)
+def test_refusals_name_their_cause(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message

@@ -388,6 +388,30 @@ def test_budget_below_one_is_malformed(budget):
         enumerate_automorphisms(PrimeContext(65521, 2), ["plus"], node_budget=budget)
 
 
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        pytest.param(
+            lambda: family_size(PrimeContext(3, 2), "nand"), "unknown family 'nand'", id="family-size"
+        ),
+        pytest.param(
+            lambda: compare_with_family(enumerate_automorphisms(PrimeContext(3, 2), ["plus", "xor"])),
+            "family can only be inferred for single-operation results",
+            id="compare-two-ops",
+        ),
+        pytest.param(
+            lambda: enumerate_automorphisms(PrimeContext(3, 2), [["plus"]]),
+            "unknown operation ['plus']; choose from ['and', 'plus', 'times', 'xor']",
+            id="unhashable-op-name",
+        ),
+    ],
+)
+def test_refusals_name_their_cause(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
 def test_compare_plus_family():
     result = enumerate_automorphisms(PrimeContext(3, 2), ["plus"])
     comparison = compare_with_family(result)
