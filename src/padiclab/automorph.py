@@ -384,11 +384,11 @@ def is_homomorphism(
 
 def is_automorphism(f: LipschitzFn, ops) -> bool:
     """Tower-compatible (by construction) + bijective at every level + a
-    homomorphism for every listed operation."""
-    for k in range(1, f.ctx.precision + 1):
-        if not is_bijective_mod(f, k):
-            return False
-    return all(is_homomorphism(f, op).ok for op in ops)
+    homomorphism for every listed operation.
+
+    Bijectivity mod p**K decides every level (see ``is_bijective_mod``).
+    """
+    return is_bijective_mod(f, f.ctx.precision) and all(is_homomorphism(f, op).ok for op in ops)
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +421,12 @@ def compose_mul(lhs: MulSpec, rhs: MulSpec) -> MulSpec:
 class GReport:
     """Scalings x -> Ax commuting with a custom operation, at this precision.
 
-    ``witnesses`` are the residues A mod p**K that solve A**d = 1 (d the gcd
-    of the shifted total degrees; every unit when the operation is linear)
-    and pass an explicit homomorphism check.  ``predicted_nontrivial`` is the
-    full-ring expectation from the degree pattern: finite quotients can admit
-    extra solutions of A**d = 1 that vanish at higher precision.
+    ``witnesses`` are the units A mod p**K that pass an exhaustive
+    homomorphism check; ``exponent_gcd`` is d = gcd(n - 1) over the term
+    degrees n (None for a linear operation).  ``predicted_nontrivial`` is
+    the full-ring answer: over Z_p a scaling other than the identity
+    commutes iff c = 0 and A**d = 1 (any unit when d is None).  Finite
+    quotients can keep extra scalings that vanish at higher precision.
     """
 
     trivial: bool
@@ -447,30 +448,27 @@ class GReport:
 def analyze_custom_op(op: CustomOp) -> GReport:
     """Find all scalings x -> Ax that are homomorphisms for a custom operation.
 
-    Nonlinear degrees n force A**(n-1) = 1, collapsing to A**d = 1 with
-    d = gcd(n - 1); candidates are found by exhaustive search over the units
-    and confirmed by exhaustive homomorphism checks (which also rule
-    candidates out when the constant term does not scale).  The passing A
-    form a subgroup, since x -> Ax composes as multiplication and the
-    inverse of a bijective homomorphism is one, and the failing A form whole
-    cosets of it: if A*B passed with B passing, so would A.  So one check
-    decides each new generator or failing coset; a candidate in the group
-    generated so far, or in a failing coset, is not checked again.
+    The candidates are the units A with g(A, A) = A * g(1, 1) mod p**K, the
+    homomorphism law at x = y = 1, which every commuting scaling meets; each
+    is confirmed by an exhaustive homomorphism check.  The passing A form a
+    subgroup, since x -> Ax composes as multiplication and the inverse of a
+    bijective homomorphism is one, and the failing A form whole cosets of
+    it: if A*B passed with B passing, so would A.  So one check decides each
+    new generator or failing coset; a candidate in the group generated so
+    far, or in a failing coset, is not checked again.
+
+    The prediction counts the roots of unity of Z_p, r of them (p - 1 at
+    odd p, 2 at p = 2): one other than 1 solves A**d = 1 iff gcd(d, r) > 1.
     """
     ctx = op.ctx
     if ctx.modulus > EXHAUSTIVE_PAIR_LIMIT:
         raise ValueError(
             f"modulus {ctx.modulus} over the analyzer cap {EXHAUSTIVE_PAIR_LIMIT}"
         )
-    degrees = op.degrees()
-    if degrees:
-        d: int | None = math.gcd(*(n - 1 for n in degrees))
-        candidates = [A for A in ctx.units() if pow(A, d, ctx.modulus) == 1]
-    else:
-        d = None
-        candidates = list(ctx.units())
-    operation = op.as_operation()
     m = ctx.modulus
+    at_one = op.evaluate(1, 1)
+    candidates = [A for A in ctx.units() if op.evaluate(A, A) == A * at_one % m]
+    operation = op.as_operation()
     passing = {1}
     failing_inverses: list[int] = []
     for A in candidates:
@@ -486,19 +484,10 @@ def analyze_custom_op(op: CustomOp) -> GReport:
             power = power * A % m
         passing |= new
     witnesses = tuple(A for A in candidates if A in passing)
-    # full-ring expectation from the degree pattern and the constant term
-    if d is None:
-        predicted = op.constant.value == 0 and bool(op.linear_x) and bool(op.linear_y)
-    else:
-        p_part = 0
-        n_part = d
-        while n_part % ctx.p == 0:
-            n_part //= ctx.p
-            p_part += 1
-        if ctx.p == 2:
-            predicted = op.constant.value == 0 and p_part == 1
-        else:
-            predicted = op.constant.value == 0 and math.gcd(n_part, ctx.p - 1) != 1
+    degrees = op.degrees()
+    d = math.gcd(*(n - 1 for n in degrees)) if degrees else None
+    roots = 2 if ctx.p == 2 else ctx.p - 1
+    predicted = op.constant.value == 0 and (d is None or math.gcd(d, roots) > 1)
     return GReport(
         trivial=len(witnesses) == 1,
         group_order=len(witnesses),

@@ -138,7 +138,7 @@ def cmd_check(args):
         }, None
     vdp_report = preserves_measure_vdp(fn)
     coord_report = preserves_measure_coord(fn)
-    bijective = all(is_bijective_mod(fn, k) for k in range(1, fn.ctx.precision + 1))
+    bijective = is_bijective_mod(fn, fn.ctx.precision)  # level K decides every level
     return {
         "p": fn.ctx.p,
         "K": fn.ctx.precision,
@@ -201,7 +201,7 @@ def _criterion_equivalence_sample(ctx: PrimeContext, seed: int) -> dict:
             fn = lipschitz.random_lipschitz(ctx, rng)
         a = preserves_measure_vdp(fn).ok
         b = preserves_measure_coord(fn).ok
-        c = all(is_bijective_mod(fn, level) for level in range(1, ctx.precision + 1))
+        c = is_bijective_mod(fn, ctx.precision)  # level K decides every level
         if not (a == b == c):
             disagreements += 1
         if a:
@@ -278,15 +278,17 @@ def cmd_verify(args):
 def cmd_report(args):
     rows = []
     for path in args.infiles:
-        data = _load_json_arg("@" + path)
-        rows.append(
-            {
-                "p": data["p"],
-                "k": data["k"],
-                "ops": "+".join(data["ops"]),
-                "count": data["count"],
-            }
-        )
+        data = mapping_field(_load_json_arg("@" + path), path)
+        for key in ("p", "k", "ops", "count"):
+            if key not in data:
+                raise ValueError(f"{path}: missing key {key!r}")
+        for key in ("p", "k", "count"):
+            if type(data[key]) is not int:  # bools are not ints here
+                raise ValueError(f"{path}: {key} = {data[key]!r}, expected an int")
+        ops = sequence_field(data["ops"], f"{path}: ops")
+        if not all(type(op) is str for op in ops):
+            raise ValueError(f"{path}: ops = {data['ops']!r}, expected a list of strings")
+        rows.append({"p": data["p"], "k": data["k"], "ops": "+".join(ops), "count": data["count"]})
     rows.sort(key=lambda r: (r["p"], r["k"], r["ops"]))
     return {"table": rows}, lambda d: "".join(
         f"p={r['p']} k={r['k']} ops={r['ops']} count={r['count']}\n" for r in d["table"]

@@ -302,7 +302,13 @@ def preserves_measure_coord(f: LipschitzFn) -> CriterionReport:
 
 
 def is_bijective_mod(f: LipschitzFn, k: int) -> bool:
-    """Whether the reduction of f mod p**k permutes [0, p**k)."""
+    """Whether the reduction of f mod p**k permutes [0, p**k).
+
+    For a tower-compatible f, level K decides every level: f mod p**k
+    composed with reduction from p**K is reduction composed with f mod
+    p**K, so it is onto when f mod p**K is, and an onto self-map of a
+    finite set is a bijection.
+    """
     if not (1 <= k <= f.ctx.precision):
         raise ValueError(f"level {k} outside [1, {f.ctx.precision}]")
     block = f.ctx.p**k

@@ -24,10 +24,12 @@ from padiclab import (
     aut_spec_to_json,
     compose,
     compose_mul,
+    enumerate_automorphisms,
     is_automorphism,
     is_homomorphism,
     operation_by_name,
     realize,
+    teichmuller,
 )
 
 
@@ -201,6 +203,13 @@ def test_hom_random_mode_reports_its_counterexample():
     report = is_homomorphism(f, XOR, seed=5)
     assert report == HomReport(ok=False, counterexample=(1046, 1468), mode="random", checked=1)
     assert is_homomorphism(f, XOR, seed=5) == report  # the seed fixes the draws
+
+
+def test_hom_report_is_truthy_iff_ok():
+    f = realize(AddSpec(PrimeContext(3, 2).integer(2)))
+    for report in (is_homomorphism(f, PLUS), is_homomorphism(f, XOR)):
+        assert bool(report) is report.ok
+    assert is_homomorphism(f, PLUS).ok and not is_homomorphism(f, XOR).ok
 
 
 def test_automorphism_needs_a_bijection():
@@ -411,18 +420,12 @@ def test_analyzer_prediction_is_met(p, K):
             assert report.group_order > 1, (constant, a, b, terms)
 
 
-def per_candidate_witnesses(op):
-    """Reference: the analyzer's witnesses with one homomorphism check per candidate."""
+def per_unit_witnesses(op):
+    """Reference: one exhaustive homomorphism check per unit, no candidate filter."""
     ctx = op.ctx
-    degrees = op.degrees()
-    if degrees:
-        d = math.gcd(*(n - 1 for n in degrees))
-        candidates = [A for A in ctx.units() if pow(A, d, ctx.modulus) == 1]
-    else:
-        candidates = list(ctx.units())
     operation = op.as_operation()
     return tuple(
-        A for A in candidates if is_homomorphism(realize(AddSpec(ctx.integer(A))), operation).ok
+        A for A in ctx.units() if is_homomorphism(realize(AddSpec(ctx.integer(A))), operation).ok
     )
 
 
@@ -441,22 +444,22 @@ WITNESS_PATTERNS = ANALYZER_PATTERNS + [
 ]
 
 
-# the reference checks every pair for every candidate, seconds per linear op
-# at 243 residues, so there only the nonlinear patterns run
+# the reference checks every pair for every passing unit, seconds per linear
+# op at 243 residues, so there only the nonlinear patterns run
 @pytest.mark.parametrize(
     "p,K,nonlinear_only",
     [(2, 3, False), (2, 5, False), (3, 3, False), (5, 2, False), (7, 2, False), (3, 5, True)],
 )
 def test_analyzer_witnesses_match_per_candidate_check(p, K, nonlinear_only):
     # the analyzer checks one candidate per new generator or failing coset;
-    # the reference checks them all
+    # the reference checks every unit
     c = PrimeContext(p, K)
     for constant, a, b, terms in WITNESS_PATTERNS:
         if nonlinear_only and not terms:
             continue
         op = CustomOp(c, constant, a, b, terms)
         report = analyze_custom_op(op)
-        assert report.witnesses == per_candidate_witnesses(op), (constant, a, b, terms)
+        assert report.witnesses == per_unit_witnesses(op), (constant, a, b, terms)
         assert report.group_order == len(report.witnesses)
 
 
@@ -464,12 +467,72 @@ def test_analyzer_witnesses_match_per_candidate_check(p, K, nonlinear_only):
 def test_analyzer_linear_ops_at_reach(p, K):
     # every unit scales a linear op without a constant term, and only the
     # identity one with a unit constant term, since A * 1 must be 1; the
-    # analyzer checks the generators of the units (one or two) in full, or
-    # one candidate per failing coset, here every unit but 1, each refuted
-    # at its first pair
+    # analyzer checks the generators of the units (one or two) in full, and
+    # for x + y + 1 only A = 1 meets the law at (1, 1), so no check runs
     c = PrimeContext(p, K)
     assert analyze_custom_op(CustomOp(c, 0, 1, 1, [])).witnesses == tuple(c.units())
     assert analyze_custom_op(CustomOp(c, 1, 1, 1, [])).witnesses == (1,)
+
+
+@pytest.mark.parametrize("p,K", [(2, 3), (2, 5), (3, 3), (5, 2), (7, 2)])
+def test_analyzer_witnesses_match_oracle(p, K):
+    # the plus automorphisms of Z/p**K are the unit scalings, so the oracle's
+    # plus+g group, read as the maps' values at 1, is the commuting scalings
+    c = PrimeContext(p, K)
+    for constant, a, b, terms in WITNESS_PATTERNS:
+        op = CustomOp(c, constant, a, b, terms)
+        group = enumerate_automorphisms(c, ["plus", op.as_operation()])
+        expected = tuple(sorted(table[1] for table in group.automorphisms))
+        assert analyze_custom_op(op).witnesses == expected, (constant, a, b, terms)
+
+
+# the zero operation, x*y**4, x + y + 1, x**7 + y**7 and x + y + x**3 y**2
+PREDICTION_PATTERNS = WITNESS_PATTERNS + [
+    (0, 0, 0, []),
+    (0, 0, 0, [(1, 4, 1)]),
+    (1, 1, 1, []),
+    (0, 0, 0, [(7, 0, 1), (0, 7, 1)]),
+    (0, 1, 1, [(3, 2, 1)]),
+]
+
+
+@pytest.mark.parametrize("p,K", [(2, 3), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)])
+def test_analyzer_prediction_matches_roots_of_unity(p, K):
+    # over Z_p, A*g(x, y) = g(Ax, Ay) as series means A*c = c and A**(n-1) = 1
+    # for every term degree n; a linear g without a constant term keeps
+    # every unit, and otherwise the solutions are roots of unity, the
+    # Teichmueller lifts at odd p and +-1 at p = 2, told apart mod p**K
+    c = PrimeContext(p, K)
+    m = c.modulus
+    roots = {1, m - 1} if p == 2 else {teichmuller(c.integer(u)).value for u in range(1, p)}
+    for constant, a, b, terms in PREDICTION_PATTERNS:
+        op = CustomOp(c, constant, a, b, terms)
+        report = analyze_custom_op(op)
+        if op.constant.value:
+            full_ring = {1}
+        elif not op.terms:
+            full_ring = None  # every unit of Z_p
+        else:
+            full_ring = {w for w in roots if all(pow(w, n - 1, m) == 1 for n in op.degrees())}
+        nontrivial = full_ring is None or len(full_ring) > 1
+        assert report.predicted_nontrivial == nontrivial, (constant, a, b, terms)
+        assert set(report.witnesses) >= (full_ring or set(c.units())), (constant, a, b, terms)
+
+
+@pytest.mark.parametrize(
+    "K,a,terms,order,predicted",
+    [
+        (5, 0, [(2, 1, 1), (1, 2, 1)], 8, True),  # x**2 y + x y**2: A**2 = 1 mod 16
+        (5, 0, [(4, 1, 1), (1, 4, 1)], 16, True),  # x**4 y + x y**4: A**4 = 1 mod 16
+        (5, 1, [(2, 0, 2**4)], 16, False),  # x + y + 2**(K-1) x**2: every unit
+        (8, 1, [(2, 0, 2**7)], 128, False),
+    ],
+)
+def test_analyzer_keeps_finite_precision_extras(K, a, terms, order, predicted):
+    # over Z_2 the first two keep +-1 and the last two 1 alone; mod 2**K the
+    # law only needs (A**(n-1) - 1) * g(x, y) = 0, and these g are even
+    report = analyze_custom_op(CustomOp(PrimeContext(2, K), 0, a, a, terms))
+    assert (report.group_order, report.predicted_nontrivial) == (order, predicted)
 
 
 # ---------------------------------------------------------------------------

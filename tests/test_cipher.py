@@ -384,6 +384,7 @@ def test_demo_record_json():
         pytest.param(lambda: Word(3, (1, 2)).prefix(0), "prefix length 0 outside [1, 2]", id="prefix-0"),
         pytest.param(lambda: Word(3, (1, 2)).prefix(3), "prefix length 3 outside [1, 2]", id="prefix-3"),
         pytest.param(lambda: SubstitutionStreamKey(3, ()), "need at least one permutation", id="empty-gs"),
+        pytest.param(lambda: KeystreamKey(3, []), "need at least one key symbol", id="empty-gamma"),
         pytest.param(
             lambda: word_op(Word(3, (1,)), Word(5, (1,)), "plus"), "alphabet mismatch: 3 vs 5",
             id="word-op-alphabet",

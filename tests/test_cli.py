@@ -128,6 +128,49 @@ def test_analyze_g(capsys):
     assert data["witnesses"] == [1, 7, 18, 24]
 
 
+# exact stdout of analyze-g: the README example, then the scalings mod
+# 2**K that a gcd-of-degrees filter dropped, and a linear op over Z_5
+ODD_UNITS_256 = ",".join(str(A) for A in range(1, 256, 2))
+UNITS_25 = ",".join(str(A) for A in range(1, 25) if A % 5)
+
+
+@pytest.mark.parametrize(
+    "p,K,g,stdout",
+    [
+        (
+            5, 2, '{"c":"0","a":"1","b":"0","terms":[[1,4,"1"]]}',
+            '{"K":2,"exponent_gcd":4,"group_order":4,"p":5,"predicted_nontrivial":true,'
+            '"trivial":false,"witnesses":[1,7,18,24]}',
+        ),
+        (
+            2, 5, '{"terms":[[2,1,"1"],[1,2,"1"]]}',
+            '{"K":5,"exponent_gcd":2,"group_order":8,"p":2,"predicted_nontrivial":true,'
+            '"trivial":false,"witnesses":[1,7,9,15,17,23,25,31]}',
+        ),
+        (
+            2, 5, '{"terms":[[4,1,"1"],[1,4,"1"]]}',
+            '{"K":5,"exponent_gcd":4,"group_order":16,"p":2,"predicted_nontrivial":true,'
+            '"trivial":false,"witnesses":[1,3,5,7,9,11,13,15,17,19,21,23,25,27,29,31]}',
+        ),
+        (
+            2, 8, '{"a":"1","b":"1","terms":[[2,0,"128"]]}',
+            '{"K":8,"exponent_gcd":1,"group_order":128,"p":2,"predicted_nontrivial":false,'
+            f'"trivial":false,"witnesses":[{ODD_UNITS_256}]}}',
+        ),
+        (
+            5, 2, '{"a":"3"}',
+            '{"K":2,"exponent_gcd":null,"group_order":20,"p":5,"predicted_nontrivial":true,'
+            f'"trivial":false,"witnesses":[{UNITS_25}]}}',
+        ),
+    ],
+    ids=["readme-x-y4", "x2y-xy2", "x4y-xy4", "x-y-128x2", "3x"],
+)
+def test_analyze_g_examples(capsys, p, K, g, stdout):
+    code, out = run_cli(capsys, "analyze-g", "--p", str(p), "--K", str(K), "--g", g)
+    assert code == 0
+    assert out == stdout + "\n"
+
+
 def test_enumerate_and_report(tmp_path, capsys):
     paths = []
     for p, k, ops in [(3, 1, "plus"), (3, 2, "plus"), (2, 3, "xor")]:
@@ -152,6 +195,36 @@ def test_report_empty_input(capsys):
     code, out = run_cli(capsys, "report")
     assert code == 0
     assert json.loads(out) == {"table": []}
+
+
+@pytest.mark.parametrize(
+    "files,message",
+    [
+        ([{"p": 2, "k": 3, "ops": "plus", "count": 1}], "{0}: ops = 'plus', expected a list"),
+        ([[1]], "{0} = [1], expected an object"),
+        ([{"p": 2, "k": 3, "ops": [1], "count": 1}], "{0}: ops = [1], expected a list of strings"),
+        (
+            [
+                {"p": 2, "k": 3, "ops": ["plus"], "count": 1},
+                {"p": "2", "k": 3, "ops": ["plus"], "count": 1},
+            ],
+            "{1}: p = '2', expected an int",
+        ),
+        ([{"p": 2, "k": True, "ops": ["plus"], "count": 1}], "{0}: k = True, expected an int"),
+        ([{"p": 2, "k": 3, "ops": ["plus"]}], "{0}: missing key 'count'"),
+    ],
+    ids=["ops-str", "not-object", "ops-int", "p-str", "k-bool", "missing-count"],
+)
+def test_report_refuses_malformed_files(tmp_path, capsys, files, message):
+    paths = []
+    for i, data in enumerate(files):
+        path = tmp_path / f"result{i}.json"
+        path.write_text(json.dumps(data))
+        paths.append(str(path))
+    assert main(["report", "--in", *paths]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: " + message.format(*paths)]
 
 
 def test_enumerate_budget_exit_code(capsys):

@@ -130,6 +130,13 @@ def test_context_mismatch_rejected():
         a ^ b
 
 
+def test_float_operand_rejected():
+    x = PrimeContext(3, 2).integer(1)
+    for apply in (lambda: x + 1.5, lambda: 1.5 + x, lambda: x ^ 1.5):
+        with pytest.raises(TypeError):
+            apply()
+
+
 def test_ring_laws_exhaustive_small():
     ctx = PrimeContext(3, 2)
     values = [ctx.integer(v) for v in range(ctx.modulus)]

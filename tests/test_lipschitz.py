@@ -224,6 +224,30 @@ def test_is_bijective_mod():
     assert all(is_bijective_mod(plus_one, k) for k in (1, 2))
 
 
+def test_level_k_decides_bijectivity():
+    # a tower-compatible map bijective mod p**K is bijective at every level,
+    # checked over every map at (2,2) and (3,1) and random ones above
+    rng = random.Random(11)
+    fns = [*iter_all_lipschitz(PrimeContext(2, 2)), *iter_all_lipschitz(PrimeContext(3, 1))]
+    for p, K in [(2, 4), (3, 3), (5, 2)]:
+        ctx = PrimeContext(p, K)
+        fns += [random_lipschitz(ctx, rng) for _ in range(50)]
+        fns += [random_measure_preserving(ctx, rng) for _ in range(50)]
+    for f in fns:
+        K = f.ctx.precision
+        levels = [is_bijective_mod(f, k) for k in range(1, K + 1)]
+        assert levels[-1] == all(levels)
+
+
+def test_criterion_reports_are_truthy_iff_ok():
+    ctx = PrimeContext(3, 2)
+    f = identity(ctx)
+    square = LipschitzFn.from_table(ctx, [x * x % 9 for x in range(9)])
+    for report in (preserves_measure_vdp(f), preserves_measure_coord(square)):
+        assert bool(report) is report.ok
+    assert preserves_measure_vdp(f).ok and not preserves_measure_coord(square).ok
+
+
 def test_compose():
     ctx = PrimeContext(3, 2)
     ident = identity(ctx)
@@ -319,6 +343,10 @@ C32 = PrimeContext(3, 2)
         pytest.param(
             lambda: vdp_inverse(VdpSeries(C32, (0,) * 8)), "need 9 coefficients, got 8",
             id="vdp-inverse-length",
+        ),
+        pytest.param(
+            lambda: series_from_json({"p": 3, "K": 2, "B": [0] * 8}), "need 9 coefficients, got 8",
+            id="series-json-length",
         ),
     ],
 )

@@ -516,6 +516,8 @@ def test_trivial_pairs_quotient_counts():
     group = {r.ops: r.automorphisms for r in report.pairs}[("plus", "xor")]
     assert group == (tuple(range(8)), tuple(5 * x % 8 for x in range(8)))
 
+    assert report.nodes == sum(r.nodes for r in report.pairs)
+
     report = verify_trivial_pairs(3, 2)
     counts = {r.ops: r.count for r in report.pairs}
     assert counts == {
