@@ -264,44 +264,39 @@ def aut_spec_from_json(ctx: PrimeContext, data: dict) -> AutSpec:
 # ---------------------------------------------------------------------------
 
 
-def _realize_mul(spec: MulSpec) -> LipschitzFn:
-    """Tabulate x = p**k * theta * w -> (p*A)**k * theta**s * w**a in O(p**K).
+def _mul_table(ctx: PrimeContext, s: int, a: int, A: int) -> list[int]:
+    """Tabulate x = p**k * theta * g**i -> (p*A)**k * theta**s * (g**a)**i in O(p**K).
 
-    The principal units w are walked as the group their cyclic generators
-    span: 1+p for odd p; -1 and 5 for p = 2 (either may reduce to 1 at K <= 2).
-    w**a follows by multiplying the generators' powers along the walk, so
-    pow_unit runs once per generator, not once per principal unit.  A unit
-    is theta * w with theta the Teichmueller lift of its units digit, and a
-    non-unit p**k * v takes (p*A)**k times the entry of the unit v.
+    A unit mod p**K is a root of unity theta times a power of g, the
+    generator of the principal units: 1+p with theta a Teichmueller lift at
+    odd p, 5 with theta = +-1 at p = 2.  Each unit is theta * g**i in
+    exactly one way, so each root's coset is walked for phi(p**K) / #roots
+    steps, multiplying x by g and its value by g**a.  At p = 2, s = 1 and a
+    is odd, so (-g**i)**a = -(g**a)**i; at K <= 2 the root -1 or g reduces
+    to 1, the roots collapse ({1} at K = 1), and the step count still
+    covers each unit once.  A non-unit p**k * v takes (p*A)**k times the
+    entry of the unit v.
     """
-    ctx = spec.ctx
     p, modulus = ctx.p, ctx.modulus
-    powers = {1: 1}  # principal unit w -> w**a
-    for g in (modulus - 1, 5) if p == 2 else (1 + p,):
-        g %= modulus
-        g_a = pow_unit(ctx.integer(g), spec.a).value
-        # extend the walked subgroup by the cosets of <g>: each walk stops
-        # on returning to an element already present
-        for w, w_a in list(powers.items()):
-            w, w_a = w * g % modulus, w_a * g_a % modulus
-            while w not in powers:
-                powers[w] = w_a
-                w, w_a = w * g % modulus, w_a * g_a % modulus
+    if p == 2:
+        g, thetas = 5, (1, modulus - 1)
+    else:
+        g, thetas = 1 + p, [teichmuller(ctx.integer(d)).value for d in range(1, p)]
+    roots = {theta: pow(theta, s, modulus) for theta in thetas}
+    g_a = pow(g, a, modulus)
+    steps = (modulus - modulus // p) // len(roots)
     table = [0] * modulus
-    for d in range(1, p):
-        theta = teichmuller(ctx.integer(d)).value
-        theta_s = pow(theta, spec.s, modulus)
-        for w, w_a in powers.items():
-            table[theta * w % modulus] = theta_s * w_a % modulus
+    for x, y in roots.items():
+        for _ in range(steps):
+            table[x] = y
+            x, y = x * g % modulus, y * g_a % modulus
     for k in range(1, ctx.precision):
         step = p**k
-        scale = pow(p * spec.A.value, k, modulus)
+        scale = pow(p * A, k, modulus)
         for v in range(1, modulus // step):
             if v % p:
                 table[v * step] = scale * table[v] % modulus
-    return LipschitzFn(
-        ctx, table, provenance=f"mul(s={spec.s},a={spec.a.value},A={spec.A.value})"
-    )
+    return table
 
 
 def level_digit_maps(p: int, k: int, param) -> list:
@@ -329,7 +324,8 @@ def realize(spec: AutSpec) -> LipschitzFn:
         table = [spec.A.value * x % ctx.modulus for x in range(ctx.modulus)]
         return LipschitzFn(ctx, table, provenance=f"add(A={spec.A.value})")
     if isinstance(spec, MulSpec):
-        return _realize_mul(spec)
+        s, a, A = spec.s, spec.a.value, spec.A.value
+        return LipschitzFn(ctx, _mul_table(ctx, s, a, A), provenance=f"mul(s={s},a={a},A={A})")
     if isinstance(spec, XorSpec | AndSpec):
         family, params = ("xor", spec.alpha) if isinstance(spec, XorSpec) else ("and", spec.exponents)
         subfunctions = [level_digit_maps(ctx.p, k, param) for k, param in enumerate(params)]

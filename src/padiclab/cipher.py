@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import PrimeContext, is_prime, mapping_field, sequence_field
-from .lipschitz import LipschitzFn
+from .lipschitz import LipschitzFn, _check_table_size
 from .automorph import Operation, operation_by_name
 
 
@@ -237,6 +237,7 @@ def model_fn(key: CipherKey, ctx: PrimeContext) -> LipschitzFn:
     map at level k for every prefix, so the table is assembled by
     from_subfunctions in O(p**K), which checks only its shape and range.
     """
+    _check_table_size(ctx)
     if key.p != ctx.p:
         raise ValueError(f"alphabet mismatch: key {key.p}, context {ctx.p}")
     if not key.covers(ctx.precision):

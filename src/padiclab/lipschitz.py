@@ -323,6 +323,7 @@ def is_bijective_mod(f: LipschitzFn, k: int) -> bool:
 
 def random_lipschitz(ctx: PrimeContext, rng) -> LipschitzFn:
     """Uniform tower-compatible function: independent random digit maps."""
+    _check_table_size(ctx)
     p = ctx.p
     randrange = rng.randrange
     subfunctions = [
@@ -334,6 +335,7 @@ def random_lipschitz(ctx: PrimeContext, rng) -> LipschitzFn:
 
 def random_measure_preserving(ctx: PrimeContext, rng) -> LipschitzFn:
     """Uniform invertible tower-compatible function: independent random digit permutations."""
+    _check_table_size(ctx)
     subfunctions = [[list(range(ctx.p)) for _ in range(ctx.p**k)] for k in range(ctx.precision)]
     for level in subfunctions:
         for perm in level:
@@ -344,14 +346,18 @@ def random_measure_preserving(ctx: PrimeContext, rng) -> LipschitzFn:
 def iter_all_lipschitz(ctx: PrimeContext):
     """Yield every tower-compatible function at this precision.
 
-    There are (p**p) ** ((p**K - 1)/(p - 1)) of them, one digit map per
-    (level, prefix) slot; refuse to iterate past ``ENUMERATION_LIMIT``.
+    There are p ** (p * slots) of them, one digit map per (level, prefix)
+    slot, with slots = (p**K - 1)/(p - 1); refuse to iterate past
+    ``ENUMERATION_LIMIT``.  The cap is below 2**20, so p ** min(p * slots,
+    20) decides it before anything is listed.
     """
     p = ctx.p
+    exponent = p * ((ctx.modulus - 1) // (p - 1))
+    if p ** min(exponent, 20) > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"would enumerate {p}**{exponent} functions, over the cap {ENUMERATION_LIMIT}"
+        )
     digit_maps = list(itertools.product(range(p), repeat=p))
-    total = len(digit_maps) ** ((ctx.modulus - 1) // (p - 1))
-    if total > ENUMERATION_LIMIT:
-        raise ValueError(f"would enumerate {total} functions, over the cap {ENUMERATION_LIMIT}")
     levels = [itertools.product(digit_maps, repeat=p**k) for k in range(ctx.precision)]
     for subfunctions in itertools.product(*levels):
         yield LipschitzFn.from_subfunctions(ctx, subfunctions, "exhaustive")

@@ -33,16 +33,16 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import PrimeContext
-from .lipschitz import MAX_TABLE_SIZE, _check_table_size
+from .lipschitz import MAX_TABLE_SIZE
 from .automorph import (
     AddSpec,
     AndSpec,
     MulSpec,
     Operation,
     XorSpec,
+    _mul_table,
     level_digit_maps,
     operation_by_name,
-    realize,
 )
 
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -293,16 +293,6 @@ def _coprime_exponents(p: int) -> list[int]:
     return [s for s in range(1, p) if math.gcd(s, p - 1) == 1]
 
 
-def _mul_specs(ctx: PrimeContext, units: list[int]):
-    """Every MulSpec whose multipliers a and A are drawn from ``units``."""
-    return (
-        MulSpec(s, ctx.integer(a), ctx.integer(A))
-        for s in _coprime_exponents(ctx.p)
-        for a in units
-        for A in units
-    )
-
-
 def _digit_levels(ctx: PrimeContext, family: str) -> list[list]:
     """Per level k, the xor rows (k coefficients, then a nonzero diagonal) or
     the and exponents (coprime to p-1), in ``family_specs`` order."""
@@ -320,7 +310,9 @@ def family_specs(ctx: PrimeContext, family: str):
     if family == "add":
         yield from (AddSpec(ctx.integer(A)) for A in ctx.units())
     elif family == "mul":
-        yield from _mul_specs(ctx, list(ctx.units()))
+        units = list(ctx.units())
+        choices = itertools.product(_coprime_exponents(ctx.p), units, units)
+        yield from (MulSpec(s, ctx.integer(a), ctx.integer(A)) for s, a, A in choices)
     elif family in ("xor", "and"):
         make = XorSpec if family == "xor" else AndSpec
         yield from (make(ctx, params) for params in itertools.product(*_digit_levels(ctx, family)))
@@ -346,37 +338,49 @@ def family_size(ctx: PrimeContext, family: str) -> int:
 def family_tables(ctx: PrimeContext, family: str) -> set[tuple[int, ...]]:
     """Value tables of every family member with parameters ranging mod p**k.
 
-    For "mul" only the members with a, A below max(p, p**(k-1)) are
-    realized, since every other member repeats one of their tables: the
-    exponent a acts on the principal units mod p**k, a group of order
-    p**(k-1), and A enters only as (p*A)**m with m >= 1, so both matter
-    only mod p**(k-1).  At k = 1 the bound p keeps every unit.  "xor" and
-    "and" members are built as a product over the levels, sharing prefixes:
-    each table at precision n, the common prefix of every member that makes
-    the same choices below level n, is extended once by each level-n
-    choice's digit maps (built once per choice by ``level_digit_maps``), the
-    step ``LipschitzFn.from_subfunctions`` takes, instead of assembling
-    every member from level 0.
+    Every member is built from its parameters, with no spec object.  For
+    "mul" only the members with a, A below max(p, p**(k-1)) are built,
+    since every other member repeats one of their tables: the exponent a
+    acts on the principal units mod p**k, a group of order p**(k-1), and A
+    enters only as (p*A)**m with m >= 1, so both matter only mod p**(k-1).
+    At k = 1 the bound p keeps every unit.  "xor" and "and" members are
+    built as a product over the levels, sharing prefixes: each table at
+    precision n, the common prefix of every member that makes the same
+    choices below level n, is extended once by each level-n choice's digit
+    maps (built once per choice by ``level_digit_maps``), the step
+    ``LipschitzFn.from_subfunctions`` takes, instead of assembling every
+    member from level 0.
+
+    Raises ValueError, before any table is built, for an unknown family or
+    when the tables it would build hold more than ``MAX_TABLE_SIZE``
+    entries in all.
     """
-    if family in ("xor", "and"):
-        _check_table_size(ctx)
-        p = ctx.p
-        tables = [(0,)]
-        for k, level in enumerate(_digit_levels(ctx, family)):
-            block = p**k
-            choices = [level_digit_maps(p, k, param) for param in level]
-            tables = [
-                tuple([v + phi[d] * block for d in range(p) for v, phi in zip(t, maps)])
-                for t in tables
-                for maps in choices
-            ]
-        return set(tables)
+    p, m = ctx.p, ctx.modulus
+    bound = max(p, m // p)
+    count = family_size(ctx, family)
+    if family == "mul":  # the bound is a power of p, with bound - bound // p units below it
+        count = len(_coprime_exponents(p)) * (bound - bound // p) ** 2
+    if count * m > MAX_TABLE_SIZE:
+        raise ValueError(
+            f"the {count} {family} tables to build mod {p}**{ctx.precision} would hold "
+            f"more than {MAX_TABLE_SIZE} entries in all (desk-scale cap)"
+        )
+    if family == "add":
+        return {tuple([A * x % m for x in range(m)]) for A in ctx.units()}
     if family == "mul":
-        p = ctx.p
-        specs = _mul_specs(ctx, [u for u in range(1, max(p, p ** (ctx.precision - 1))) if u % p])
-    else:
-        specs = family_specs(ctx, family)
-    return {realize(spec).table for spec in specs}
+        units = [u for u in range(1, bound) if u % p]
+        choices = itertools.product(_coprime_exponents(p), units, units)
+        return {tuple(_mul_table(ctx, *choice)) for choice in choices}
+    tables = [(0,)]
+    for k, level in enumerate(_digit_levels(ctx, family)):
+        block = p**k
+        choices = [level_digit_maps(p, k, param) for param in level]
+        tables = [
+            tuple([v + phi[d] * block for d in range(p) for v, phi in zip(t, maps)])
+            for t in tables
+            for maps in choices
+        ]
+    return set(tables)
 
 
 @dataclass(frozen=True)

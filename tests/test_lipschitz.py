@@ -2,6 +2,9 @@
 
 import itertools
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -354,3 +357,80 @@ def test_refusals_name_their_cause(make, message):
     with pytest.raises(ValueError) as info:
         make()
     assert str(info.value) == message
+
+
+# address-space cap for children that must refuse before allocating
+CHILD_ADDRESS_SPACE = 512 * 2**20
+OVER_TABLE_CAP = "table of size {} exceeds the desk-scale cap 16777216"
+OVER_FAMILY_CAP = (
+    "the {} {} tables to build mod {} would hold more than 16777216 entries in all "
+    "(desk-scale cap)"
+)
+
+
+def _limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        ("random_lipschitz(PrimeContext(2, 27), random.Random(0))", OVER_TABLE_CAP.format(2**27)),
+        (
+            "random_measure_preserving(PrimeContext(3, 17), random.Random(0))",
+            OVER_TABLE_CAP.format(3**17),
+        ),
+        ("model_fn(SubstitutionKey(2, [1, 0]), PrimeContext(2, 32))", OVER_TABLE_CAP.format(2**32)),
+        (
+            "next(iter_all_lipschitz(PrimeContext(11, 1)))",
+            "would enumerate 11**11 functions, over the cap 1000000",
+        ),
+        (
+            "next(iter_all_lipschitz(PrimeContext(7, 2)))",
+            "would enumerate 7**56 functions, over the cap 1000000",
+        ),
+        ("family_tables(PrimeContext(2, 7), 'xor')", OVER_FAMILY_CAP.format(2**21, "xor", "2**7")),
+        (
+            "family_tables(PrimeContext(3, 5), 'xor')",
+            OVER_FAMILY_CAP.format(2**5 * 3**10, "xor", "3**5"),
+        ),
+        (
+            "family_tables(PrimeContext(7, 3), 'xor')",
+            OVER_FAMILY_CAP.format(6**3 * 7**3, "xor", "7**3"),
+        ),
+        # mul builds only the a, A below p**(k-1): 2**20 tables of 2**12 entries
+        ("family_tables(PrimeContext(2, 12), 'mul')", OVER_FAMILY_CAP.format(2**20, "mul", "2**12")),
+        # an unknown family is named before the size is checked
+        ("family_tables(PrimeContext(2, 30), 'nope')", "unknown family 'nope'"),
+    ],
+    ids=[
+        "random_lipschitz-2-27",
+        "random_measure_preserving-3-17",
+        "model_fn-2-32",
+        "iter_all_lipschitz-11-1",
+        "iter_all_lipschitz-7-2",
+        "family_tables-xor-2-7",
+        "family_tables-xor-3-5",
+        "family_tables-xor-7-3",
+        "family_tables-mul-2-12",
+        "family_tables-unknown-2-30",
+    ],
+)
+def test_oversized_builders_refuse_before_allocating(call, message):
+    # the child runs under an address-space cap and a timeout, so a check
+    # that comes after the allocation fails here instead of exhausting the
+    # machine (each of these ran for seconds into a MemoryError without one)
+    code = (
+        "import random\n"
+        "from padiclab import PrimeContext, SubstitutionKey, family_tables, iter_all_lipschitz\n"
+        "from padiclab import model_fn, random_lipschitz, random_measure_preserving\n"
+        f"try:\n    {call}\nexcept ValueError as error:\n    print(error)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=30,
+    )
+    assert proc.stdout == message + "\n", proc.stderr[-500:]

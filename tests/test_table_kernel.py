@@ -33,6 +33,8 @@ from padiclab import (
     XorSpec,
     coordinate_subfunctions,
     encrypt,
+    family_size,
+    family_specs,
     inverse_unit,
     is_bijective_mod,
     model_fn,
@@ -51,6 +53,8 @@ from padiclab import (
 
 GRID = [(2, 1), (2, 2), (2, 3), (2, 7), (3, 4), (5, 2), (7, 2), (11, 2)]
 SPECS_PER_FAMILY = 4
+# the mul family is checked member by member up to this many (s, a, A)
+MUL_MEMBERS_CHECKED = 5000
 
 
 @pytest.fixture(params=GRID, ids=lambda pk: f"p{pk[0]}K{pk[1]}")
@@ -224,6 +228,11 @@ def test_mul_realizer_edge_parameters(ctx):
     for s, a, A in [(1, 1, 1), (1, last, 1), (s_max, last, last), (s_max, 1, last)]:
         spec = MulSpec(s, ctx.integer(a), ctx.integer(A))
         assert revalidated(realize(spec)).table == reference_mul(spec)
+    # every member where the family is small: all of the grid but (11,2),
+    # with (2,1) and (2,2), where -1 or 5 reduces to 1, among them
+    if family_size(ctx, "mul") <= MUL_MEMBERS_CHECKED:
+        for spec in family_specs(ctx, "mul"):
+            assert realize(spec).table == reference_mul(spec), spec
 
 
 def test_model_fn_matches_encrypt_per_word(ctx):
