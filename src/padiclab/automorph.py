@@ -52,9 +52,11 @@ AND = Operation("and", lambda ctx, x, y: ctx.and_values(x, y))
 OPERATIONS = {op.name: op for op in (PLUS, TIMES, XOR, AND)}
 
 
-def operation_by_name(name: str) -> Operation:
-    if isinstance(name, str) and name in OPERATIONS:
-        return OPERATIONS[name]
+def operation_by_name(name: "Operation | str") -> Operation:
+    """The operation itself, or the builtin operation of that name."""
+    op = OPERATIONS.get(name) if isinstance(name, str) else name
+    if isinstance(op, Operation):
+        return op
     raise ValueError(f"unknown operation {name!r}; choose from {sorted(OPERATIONS)}")
 
 
@@ -313,6 +315,30 @@ def level_digit_maps(p: int, k: int, param) -> list:
     return [maps[share] for share in shares]
 
 
+def _digit_tables(p: int, levels) -> list[tuple[int, ...]]:
+    """Value tables of an xor or and family, one per choice of a parameter
+    on every level from ``levels[k]``, in product order.
+
+    The tables are built as a product over the levels, sharing prefixes:
+    each table at precision k, the common prefix of every member that makes
+    the same choices below level k, is extended once by each level-k
+    choice's digit maps (built once per choice by ``level_digit_maps``),
+    table[a + d*p**k] = table[a] + phi_a(d) * p**k.  Integer digit maps make
+    every table tower compatible, and the maps of valid parameters are
+    permutations of [0, p), so nothing is checked here.
+    """
+    tables = [(0,)]
+    for k, level in enumerate(levels):
+        block = p**k
+        choices = [level_digit_maps(p, k, param) for param in level]
+        tables = [
+            tuple([v + phi[d] * block for d in range(p) for v, phi in zip(t, maps)])
+            for t in tables
+            for maps in choices
+        ]
+    return tables
+
+
 def realize(spec: AutSpec) -> LipschitzFn:
     """Build the value table of a family member, checking its size first.
 
@@ -328,8 +354,8 @@ def realize(spec: AutSpec) -> LipschitzFn:
         return LipschitzFn(ctx, _mul_table(ctx, s, a, A), provenance=f"mul(s={s},a={a},A={A})")
     if isinstance(spec, XorSpec | AndSpec):
         family, params = ("xor", spec.alpha) if isinstance(spec, XorSpec) else ("and", spec.exponents)
-        subfunctions = [level_digit_maps(ctx.p, k, param) for k, param in enumerate(params)]
-        return LipschitzFn.from_subfunctions(ctx, subfunctions, provenance=family)
+        (table,) = _digit_tables(ctx.p, [[param] for param in params])
+        return LipschitzFn(ctx, table, provenance=family)
     raise TypeError(f"not an automorphism spec: {spec!r}")
 
 
@@ -358,7 +384,11 @@ def is_homomorphism(
 
     Exhaustive mode scans pairs in lexicographic order and reports the first
     counterexample; otherwise ``samples`` seeded random pairs are drawn.
+    Raises ValueError, before checking anything, when ``samples`` is not an
+    int of at least 1.
     """
+    if type(samples) is not int or samples < 1:
+        raise ValueError(f"samples must be an int >= 1, got {samples!r}")
     ctx = f.ctx
     n = ctx.modulus
     table = f.table
@@ -397,10 +427,9 @@ def compose_mul(lhs: MulSpec, rhs: MulSpec) -> MulSpec:
 
     With rhs scaling factor B split as theta_B * (1 + p*B1), the composite is
     (s*d normalized into [1, p-1] mod p-1, a*b, A * theta_B**s * (1+p*B1)**a).
+    Specs of two contexts raise ContextMismatch at a*b, by the operand rule.
     """
     ctx = lhs.ctx
-    if rhs.ctx != ctx:
-        raise ContextMismatch(f"{ctx} vs {rhs.ctx}")
     parts = unit_decompose(rhs.A)
     s = (lhs.s * rhs.s - 1) % (ctx.p - 1) + 1
     a = lhs.a * rhs.a

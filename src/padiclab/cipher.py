@@ -89,8 +89,7 @@ def word_op(x: Word, y: Word, op: "Operation | str") -> Word:
         raise ValueError(f"alphabet mismatch: {x.p} vs {y.p}")
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    if not isinstance(op, Operation):
-        op = operation_by_name(op)
+    op = operation_by_name(op)
     ctx = PrimeContext(x.p, len(x))
     return tau_inverse(op.apply(ctx, tau(x), tau(y)), len(x), x.p)
 

@@ -172,42 +172,31 @@ class PadicInt:
         """The K little-endian base-p digits of the residue."""
         return self.ctx.digits_of(self.value)
 
-    def _coerce(self, other) -> "PadicInt":
+    def _value(self, other) -> int:
+        """The residue of an operand: a value of this context, or an int mod p**K."""
         if isinstance(other, PadicInt):
             if other.ctx != self.ctx:
                 raise ContextMismatch(f"{self.ctx} vs {other.ctx}")
-            return other
-        if isinstance(other, int):
-            return PadicInt(self.ctx, other)
-        return NotImplemented
+            return other.value
+        if not isinstance(other, int):
+            raise TypeError(f"p-adic operand must be a PadicInt or an int, got {other!r}")
+        return PadicInt(self.ctx, other).value  # a bool raises here
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PadicInt(self.ctx, self.value + other.value)
+        return PadicInt(self.ctx, self.value + self._value(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PadicInt(self.ctx, self.value - other.value)
+        return PadicInt(self.ctx, self.value - self._value(other))
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        return PadicInt(self.ctx, self._value(other) - self.value)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PadicInt(self.ctx, self.value * other.value)
+        return PadicInt(self.ctx, self.value * self._value(other))
 
     __rmul__ = __mul__
 
@@ -215,22 +204,18 @@ class PadicInt:
         return PadicInt(self.ctx, -self.value)
 
     def __pow__(self, n: int):
-        # integer exponents only; negative allowed for units
+        # plain int exponents only; negative allowed for units
+        if type(n) is not int:  # bools and floats are not exponents
+            raise TypeError(f"exponent must be an int, got {n!r}")
         return PadicInt(self.ctx, pow(self.value, n, self.ctx.modulus))
 
     # -- carry-free digit-wise operations -----------------------------------
 
     def __xor__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PadicInt(self.ctx, self.ctx.xor_values(self.value, other.value))
+        return PadicInt(self.ctx, self.ctx.xor_values(self.value, self._value(other)))
 
     def __and__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PadicInt(self.ctx, self.ctx.and_values(self.value, other.value))
+        return PadicInt(self.ctx, self.ctx.and_values(self.value, self._value(other)))
 
     # -- structure ----------------------------------------------------------
 
@@ -449,16 +434,14 @@ def ln_p(x: PadicInt) -> PadicInt:
 def pow_unit(x: PadicInt, exponent: "PadicInt | int") -> PadicInt:
     """(1 + pt)**a for a p-adic (or plain integer) exponent a.
 
-    Requires x = 1 mod p.  Mod p**K the principal units form a group of
-    order p**(K-1), so the power depends only on a mod p**(K-1) and builtin
-    pow on the residues is exact, on every principal unit (1+2t with t odd
-    at p = 2 included) and for negative plain exponents too, x being a unit.
+    Requires x = 1 mod p.  The exponent is read as an operand of x, so a
+    plain int, negative ones included, is reduced mod p**K.  That is exact:
+    mod p**K the principal units form a group of order p**(K-1), which
+    divides p**K, so the power depends only on a mod p**(K-1), and builtin
+    pow on the residues is exact on every principal unit (1+2t with t odd
+    at p = 2 included).
     """
     ctx = x.ctx
     if (x.value - 1) % ctx.p != 0:
         raise ValueError(f"pow_unit needs x = 1 mod {ctx.p}, got {x.value}")
-    if isinstance(exponent, PadicInt):
-        if exponent.ctx != ctx:
-            raise ContextMismatch(f"{ctx} vs {exponent.ctx}")
-        exponent = exponent.value
-    return PadicInt(ctx, pow(x.value, exponent, ctx.modulus))
+    return PadicInt(ctx, pow(x.value, x._value(exponent), ctx.modulus))

@@ -38,10 +38,9 @@ from .automorph import (
     AddSpec,
     AndSpec,
     MulSpec,
-    Operation,
     XorSpec,
+    _digit_tables,
     _mul_table,
-    level_digit_maps,
     operation_by_name,
 )
 
@@ -97,10 +96,6 @@ class EnumerationResult:
         }
 
 
-def _resolve_ops(ops) -> list[Operation]:
-    return [op if isinstance(op, Operation) else operation_by_name(op) for op in ops]
-
-
 def enumerate_automorphisms(
     ctx: PrimeContext, ops, *, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> EnumerationResult:
@@ -154,7 +149,7 @@ def enumerate_automorphisms(
             f"operation tables of {ctx.modulus}**2 entries exceed the "
             f"desk-scale cap {MAX_TABLE_SIZE}"
         )
-    operations = _resolve_ops(ops)
+    operations = [operation_by_name(op) for op in ops]
 
     # per level j: the flat table of x op y mod p**(j+1) for each op, and
     # its transpose (y op x) too when the op is not commutative, so that
@@ -344,12 +339,8 @@ def family_tables(ctx: PrimeContext, family: str) -> set[tuple[int, ...]]:
     acts on the principal units mod p**k, a group of order p**(k-1), and A
     enters only as (p*A)**m with m >= 1, so both matter only mod p**(k-1).
     At k = 1 the bound p keeps every unit.  "xor" and "and" members are
-    built as a product over the levels, sharing prefixes: each table at
-    precision n, the common prefix of every member that makes the same
-    choices below level n, is extended once by each level-n choice's digit
-    maps (built once per choice by ``level_digit_maps``), the step
-    ``LipschitzFn.from_subfunctions`` takes, instead of assembling every
-    member from level 0.
+    built by ``_digit_tables`` from every choice on every level, sharing
+    prefixes, as ``realize`` builds one member from one choice per level.
 
     Raises ValueError, before any table is built, for an unknown family or
     when the tables it would build hold more than ``MAX_TABLE_SIZE``
@@ -371,16 +362,7 @@ def family_tables(ctx: PrimeContext, family: str) -> set[tuple[int, ...]]:
         units = [u for u in range(1, bound) if u % p]
         choices = itertools.product(_coprime_exponents(p), units, units)
         return {tuple(_mul_table(ctx, *choice)) for choice in choices}
-    tables = [(0,)]
-    for k, level in enumerate(_digit_levels(ctx, family)):
-        block = p**k
-        choices = [level_digit_maps(p, k, param) for param in level]
-        tables = [
-            tuple([v + phi[d] * block for d in range(p) for v, phi in zip(t, maps)])
-            for t in tables
-            for maps in choices
-        ]
-    return set(tables)
+    return set(_digit_tables(p, _digit_levels(ctx, family)))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from padiclab import (
     HomReport,
     LipschitzFn,
     MulSpec,
+    Operation,
     PLUS,
     PrimeContext,
     TIMES,
@@ -196,6 +197,16 @@ def test_hom_random_mode_beyond_exhaustive_limit():
     f = realize(AddSpec(c.integer(3)))
     report = is_homomorphism(f, PLUS, seed=1, samples=2000)
     assert report.ok and report.mode == "random" and report.checked == 2000
+
+
+@pytest.mark.parametrize("samples", [0, -5, 2.5, True, False, "10"])
+@pytest.mark.parametrize("K", [2, 11], ids=["exhaustive", "random"])
+def test_hom_refuses_a_sample_count_below_one(samples, K):
+    # refused before any pair is checked, in either mode
+    f = realize(AddSpec(PrimeContext(2, K).integer(3)))
+    with pytest.raises(ValueError) as info:
+        is_homomorphism(f, PLUS, samples=samples)
+    assert str(info.value) == f"samples must be an int >= 1, got {samples!r}"
 
 
 def test_hom_random_mode_reports_its_counterexample():
@@ -572,6 +583,10 @@ def test_custom_op_json_roundtrip():
 
 def test_operation_by_name():
     assert operation_by_name("plus") is PLUS
+    # an operation passes through, builtin or custom
+    assert operation_by_name(PLUS) is PLUS
+    skew = Operation("skew", lambda ctx, x, y: x * x * y % ctx.modulus)
+    assert operation_by_name(skew) is skew
     with pytest.raises(ValueError):
         operation_by_name("minus")
 

@@ -137,6 +137,12 @@ def test_float_operand_rejected():
             apply()
 
 
+def test_pow_operator_takes_negative_exponents_on_units():
+    ctx = PrimeContext(3, 2)
+    assert ctx.integer(2) ** -1 == ctx.integer(5)  # 2 * 5 = 1 mod 9
+    assert ctx.integer(4) ** -2 * ctx.integer(4) ** 2 == ctx.one()
+
+
 def test_ring_laws_exhaustive_small():
     ctx = PrimeContext(3, 2)
     values = [ctx.integer(v) for v in range(ctx.modulus)]
@@ -395,6 +401,10 @@ def test_pow_unit_rejects_non_principal():
         pow_unit(PrimeContext(5, 3).integer(2), 2)
 
 
+# an operand of no numeric type, named by its repr in the refusal
+OPAQUE = object()
+
+
 @pytest.mark.parametrize(
     "make,error,message",
     [
@@ -405,6 +415,36 @@ def test_pow_unit_rejects_non_principal():
             id="pow-unit-context",
         ),
         pytest.param(
+            lambda: pow_unit(PrimeContext(3, 2).integer(4), True),
+            ValueError,
+            "p-adic residue must be an int, got True",
+            id="pow-unit-bool",
+        ),
+        pytest.param(
+            lambda: pow_unit(PrimeContext(3, 2).integer(4), 1.5),
+            TypeError,
+            "p-adic operand must be a PadicInt or an int, got 1.5",
+            id="pow-unit-float",
+        ),
+        pytest.param(
+            lambda: PrimeContext(3, 2).integer(4) + OPAQUE,
+            TypeError,
+            f"p-adic operand must be a PadicInt or an int, got {OPAQUE!r}",
+            id="add-object",
+        ),
+        pytest.param(
+            lambda: PrimeContext(3, 2).integer(4) ** True,
+            TypeError,
+            "exponent must be an int, got True",
+            id="pow-bool",
+        ),
+        pytest.param(
+            lambda: PrimeContext(3, 2).integer(4) ** 1.5,
+            TypeError,
+            "exponent must be an int, got 1.5",
+            id="pow-float",
+        ),
+        pytest.param(
             lambda: teichmuller(PrimeContext(3, 2).integer(3)),
             ValueError,
             "PadicInt(3 = [0, 1] base 3) is not a unit",
@@ -413,7 +453,7 @@ def test_pow_unit_rejects_non_principal():
     ],
 )
 def test_refusals_name_their_cause(make, error, message):
-    with pytest.raises(ValueError) as info:
+    with pytest.raises((ValueError, TypeError)) as info:
         make()
     assert type(info.value) is error
     assert str(info.value) == message

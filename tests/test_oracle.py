@@ -24,7 +24,6 @@ from padiclab.oracle import (
     OP_TO_FAMILY,
     OPERATION_PAIRS,
     EnumerationResult,
-    _resolve_ops,
 )
 
 # the four single operations and the six pairs
@@ -63,7 +62,7 @@ def permutation_enumeration(p, k, ops):
     prefix) slot; each op constraint is tested once the slot that completes
     its triple is filled.
     """
-    operations = [op if isinstance(op, Operation) else operation_by_name(op) for op in ops]
+    operations = [operation_by_name(op) for op in ops]
     perms = list(itertools.permutations(range(p)))
     op_tables = []
     triples = []
@@ -128,7 +127,7 @@ def full_enumeration(
             f"operation tables of {ctx.modulus}**2 entries exceed the "
             f"desk-scale cap {MAX_TABLE_SIZE}"
         )
-    operations = _resolve_ops(ops)
+    operations = [operation_by_name(op) for op in ops]
 
     # per level j: the flat table of x op y mod p**(j+1) for each op, and
     # its transpose (y op x) too when the op is not commutative, so that

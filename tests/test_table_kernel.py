@@ -35,6 +35,7 @@ from padiclab import (
     encrypt,
     family_size,
     family_specs,
+    family_tables,
     inverse_unit,
     is_bijective_mod,
     model_fn,
@@ -233,6 +234,20 @@ def test_mul_realizer_edge_parameters(ctx):
     if family_size(ctx, "mul") <= MUL_MEMBERS_CHECKED:
         for spec in family_specs(ctx, "mul"):
             assert realize(spec).table == reference_mul(spec), spec
+
+
+def test_digit_family_members_and_tables_match_references(ctx):
+    # every member where the family is small, as for mul above: realize and
+    # family_tables share one digit-table builder, so the per-entry
+    # references are the independent check of both
+    for family, reference in (("xor", reference_xor), ("and", reference_and)):
+        if family_size(ctx, family) <= MUL_MEMBERS_CHECKED:
+            tables = set()
+            for spec in family_specs(ctx, family):
+                table = reference(spec)
+                assert realize(spec).table == table, spec
+                tables.add(table)
+            assert family_tables(ctx, family) == tables
 
 
 def test_model_fn_matches_encrypt_per_word(ctx):
