@@ -6,6 +6,8 @@ principal-unit factors, triangular digit-linear maps for carry-free
 addition, and digit-power maps for carry-free multiplication.  The family
 parameters carry exactly the constraints that make the realized tables
 invertible, so every realized spec is an automorphism for its operation.
+Each family's parameter space mod p**k, its size and the tables of all its
+members live here too, for the oracle to compare its search against.
 
 Also here: homomorphism checking against any binary operation (including
 custom operations given by a truncated double power series), the parameter
@@ -15,6 +17,7 @@ which scalings x -> Ax respect a custom series operation.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -31,7 +34,7 @@ from .core import (
     teichmuller,
     unit_decompose,
 )
-from .lipschitz import LipschitzFn, _check_table_size, is_bijective_mod
+from .lipschitz import MAX_TABLE_SIZE, LipschitzFn, _check_table_size, is_bijective_mod
 
 # above this table size homomorphism checks switch to seeded random pairs
 EXHAUSTIVE_PAIR_LIMIT = 2**10
@@ -357,6 +360,94 @@ def realize(spec: AutSpec) -> LipschitzFn:
         (table,) = _digit_tables(ctx.p, [[param] for param in params])
         return LipschitzFn(ctx, table, provenance=family)
     raise TypeError(f"not an automorphism spec: {spec!r}")
+
+
+# ---------------------------------------------------------------------------
+# realized families reduced mod p**k
+# ---------------------------------------------------------------------------
+
+OP_TO_FAMILY = {"plus": "add", "times": "mul", "xor": "xor", "and": "and"}
+
+
+def _coprime_exponents(p: int) -> list[int]:
+    return [s for s in range(1, p) if math.gcd(s, p - 1) == 1]
+
+
+def _digit_levels(ctx: PrimeContext, family: str) -> list[list]:
+    """Per level k, the xor rows (k coefficients, then a nonzero diagonal) or
+    the and exponents (coprime to p-1), in ``family_specs`` order."""
+    p = ctx.p
+    if family == "and":
+        return [_coprime_exponents(p)] * ctx.precision
+    return [
+        [prefix + (diag,) for prefix in itertools.product(range(p), repeat=k) for diag in range(1, p)]
+        for k in range(ctx.precision)
+    ]
+
+
+def family_specs(ctx: PrimeContext, family: str):
+    """Yield every family member with parameters ranging over residues mod p**k."""
+    if family == "add":
+        yield from (AddSpec(ctx.integer(A)) for A in ctx.units())
+    elif family == "mul":
+        units = list(ctx.units())
+        choices = itertools.product(_coprime_exponents(ctx.p), units, units)
+        yield from (MulSpec(s, ctx.integer(a), ctx.integer(A)) for s, a, A in choices)
+    elif family in ("xor", "and"):
+        make = XorSpec if family == "xor" else AndSpec
+        yield from (make(ctx, params) for params in itertools.product(*_digit_levels(ctx, family)))
+    else:
+        raise ValueError(f"unknown family {family!r}")
+
+
+def family_size(ctx: PrimeContext, family: str) -> int:
+    """Number of parameter choices mod p**k (not necessarily distinct tables)."""
+    p, k = ctx.p, ctx.precision
+    phi_units = p**k - p ** (k - 1)
+    if family == "add":
+        return phi_units
+    if family == "mul":
+        return len(_coprime_exponents(p)) * phi_units * phi_units
+    if family == "xor":
+        return (p - 1) ** k * p ** (k * (k - 1) // 2)
+    if family == "and":
+        return len(_coprime_exponents(p)) ** k
+    raise ValueError(f"unknown family {family!r}")
+
+
+def family_tables(ctx: PrimeContext, family: str) -> set[tuple[int, ...]]:
+    """Value tables of every family member with parameters ranging mod p**k.
+
+    Every member is built from its parameters, with no spec object.  For
+    "mul" only the members with a, A below max(p, p**(k-1)) are built,
+    since every other member repeats one of their tables: the exponent a
+    acts on the principal units mod p**k, a group of order p**(k-1), and A
+    enters only as (p*A)**m with m >= 1, so both matter only mod p**(k-1).
+    At k = 1 the bound p keeps every unit.  "xor" and "and" members are
+    built by ``_digit_tables`` from every choice on every level, sharing
+    prefixes, as ``realize`` builds one member from one choice per level.
+
+    Raises ValueError, before any table is built, for an unknown family or
+    when the tables it would build hold more than ``MAX_TABLE_SIZE``
+    entries in all.
+    """
+    p, m = ctx.p, ctx.modulus
+    bound = max(p, m // p)
+    count = family_size(ctx, family)
+    if family == "mul":  # the bound is a power of p, with bound - bound // p units below it
+        count = len(_coprime_exponents(p)) * (bound - bound // p) ** 2
+    if count * m > MAX_TABLE_SIZE:
+        raise ValueError(
+            f"the {count} {family} tables to build mod {p}**{ctx.precision} would hold "
+            f"more than {MAX_TABLE_SIZE} entries in all (desk-scale cap)"
+        )
+    if family == "add":
+        return {tuple([A * x % m for x in range(m)]) for A in ctx.units()}
+    if family == "mul":
+        units = [u for u in range(1, bound) if u % p]
+        choices = itertools.product(_coprime_exponents(p), units, units)
+        return {tuple(_mul_table(ctx, *choice)) for choice in choices}
+    return set(_digit_tables(p, _digit_levels(ctx, family)))
 
 
 # ---------------------------------------------------------------------------

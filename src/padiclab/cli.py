@@ -29,9 +29,11 @@ from .lipschitz import (
     vdp_transform,
 )
 from .automorph import (
+    OP_TO_FAMILY,
     CustomOp,
     analyze_custom_op,
     aut_spec_from_json,
+    family_size,
     is_homomorphism,
     operation_by_name,
     realize,
@@ -39,11 +41,9 @@ from .automorph import (
 from .oracle import (
     BudgetExceeded,
     DEFAULT_NODE_BUDGET,
-    OP_TO_FAMILY,
     OPERATION_PAIRS,
     compare_with_family,
     enumerate_automorphisms,
-    family_size,
 )
 from . import cipher as cipher_mod
 

@@ -27,26 +27,14 @@ effects that would betray them live above the precision window.
 
 from __future__ import annotations
 
-import itertools
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import PrimeContext
 from .lipschitz import MAX_TABLE_SIZE
-from .automorph import (
-    AddSpec,
-    AndSpec,
-    MulSpec,
-    XorSpec,
-    _digit_tables,
-    _mul_table,
-    operation_by_name,
-)
+from .automorph import OP_TO_FAMILY, family_tables, operation_by_name
 
 DEFAULT_NODE_BUDGET = 5_000_000
-
-OP_TO_FAMILY = {"plus": "add", "times": "mul", "xor": "xor", "and": "and"}
 
 
 class BudgetExceeded(RuntimeError):
@@ -277,92 +265,6 @@ def enumerate_automorphisms(
         group = sorted(compose(h, kappa) for h in lift_of.values() for kappa in kernel)
     names = tuple(op.name for op in operations)
     return EnumerationResult(p, k, names, tuple(group), nodes)
-
-
-# ---------------------------------------------------------------------------
-# realized families reduced mod p**k
-# ---------------------------------------------------------------------------
-
-
-def _coprime_exponents(p: int) -> list[int]:
-    return [s for s in range(1, p) if math.gcd(s, p - 1) == 1]
-
-
-def _digit_levels(ctx: PrimeContext, family: str) -> list[list]:
-    """Per level k, the xor rows (k coefficients, then a nonzero diagonal) or
-    the and exponents (coprime to p-1), in ``family_specs`` order."""
-    p = ctx.p
-    if family == "and":
-        return [_coprime_exponents(p)] * ctx.precision
-    return [
-        [prefix + (diag,) for prefix in itertools.product(range(p), repeat=k) for diag in range(1, p)]
-        for k in range(ctx.precision)
-    ]
-
-
-def family_specs(ctx: PrimeContext, family: str):
-    """Yield every family member with parameters ranging over residues mod p**k."""
-    if family == "add":
-        yield from (AddSpec(ctx.integer(A)) for A in ctx.units())
-    elif family == "mul":
-        units = list(ctx.units())
-        choices = itertools.product(_coprime_exponents(ctx.p), units, units)
-        yield from (MulSpec(s, ctx.integer(a), ctx.integer(A)) for s, a, A in choices)
-    elif family in ("xor", "and"):
-        make = XorSpec if family == "xor" else AndSpec
-        yield from (make(ctx, params) for params in itertools.product(*_digit_levels(ctx, family)))
-    else:
-        raise ValueError(f"unknown family {family!r}")
-
-
-def family_size(ctx: PrimeContext, family: str) -> int:
-    """Number of parameter choices mod p**k (not necessarily distinct tables)."""
-    p, k = ctx.p, ctx.precision
-    phi_units = p**k - p ** (k - 1)
-    if family == "add":
-        return phi_units
-    if family == "mul":
-        return len(_coprime_exponents(p)) * phi_units * phi_units
-    if family == "xor":
-        return (p - 1) ** k * p ** (k * (k - 1) // 2)
-    if family == "and":
-        return len(_coprime_exponents(p)) ** k
-    raise ValueError(f"unknown family {family!r}")
-
-
-def family_tables(ctx: PrimeContext, family: str) -> set[tuple[int, ...]]:
-    """Value tables of every family member with parameters ranging mod p**k.
-
-    Every member is built from its parameters, with no spec object.  For
-    "mul" only the members with a, A below max(p, p**(k-1)) are built,
-    since every other member repeats one of their tables: the exponent a
-    acts on the principal units mod p**k, a group of order p**(k-1), and A
-    enters only as (p*A)**m with m >= 1, so both matter only mod p**(k-1).
-    At k = 1 the bound p keeps every unit.  "xor" and "and" members are
-    built by ``_digit_tables`` from every choice on every level, sharing
-    prefixes, as ``realize`` builds one member from one choice per level.
-
-    Raises ValueError, before any table is built, for an unknown family or
-    when the tables it would build hold more than ``MAX_TABLE_SIZE``
-    entries in all.
-    """
-    p, m = ctx.p, ctx.modulus
-    bound = max(p, m // p)
-    count = family_size(ctx, family)
-    if family == "mul":  # the bound is a power of p, with bound - bound // p units below it
-        count = len(_coprime_exponents(p)) * (bound - bound // p) ** 2
-    if count * m > MAX_TABLE_SIZE:
-        raise ValueError(
-            f"the {count} {family} tables to build mod {p}**{ctx.precision} would hold "
-            f"more than {MAX_TABLE_SIZE} entries in all (desk-scale cap)"
-        )
-    if family == "add":
-        return {tuple([A * x % m for x in range(m)]) for A in ctx.units()}
-    if family == "mul":
-        units = [u for u in range(1, bound) if u % p]
-        choices = itertools.product(_coprime_exponents(p), units, units)
-        return {tuple(_mul_table(ctx, *choice)) for choice in choices}
-    return set(_digit_tables(p, _digit_levels(ctx, family)))
 
 
 @dataclass(frozen=True)
