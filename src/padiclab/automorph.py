@@ -469,15 +469,17 @@ class HomReport:
 
 
 def is_homomorphism(
-    f: LipschitzFn, op: Operation, *, seed: int = 0, samples: int = 100_000
+    f: LipschitzFn, op: "Operation | str", *, seed: int = 0, samples: int = 100_000
 ) -> HomReport:
     """Check the homomorphism law; exhaustive when p**K <= 2**10.
 
-    Exhaustive mode scans pairs in lexicographic order and reports the first
-    counterexample; otherwise ``samples`` seeded random pairs are drawn.
-    Raises ValueError, before checking anything, when ``samples`` is not an
-    int of at least 1.
+    ``op`` is an operation or the name of a builtin one.  Exhaustive mode
+    scans pairs in lexicographic order and reports the first counterexample;
+    otherwise ``samples`` seeded random pairs are drawn.  Raises ValueError,
+    before checking anything, for an unknown operation name or when
+    ``samples`` is not an int of at least 1.
     """
+    op = operation_by_name(op)
     if type(samples) is not int or samples < 1:
         raise ValueError(f"samples must be an int >= 1, got {samples!r}")
     ctx = f.ctx
@@ -501,11 +503,18 @@ def is_homomorphism(
 
 def is_automorphism(f: LipschitzFn, ops) -> bool:
     """Tower-compatible (by construction) + bijective at every level + a
-    homomorphism for every listed operation.
+    homomorphism for every listed operation or operation name.
 
     Bijectivity mod p**K decides every level (see ``is_bijective_mod``).
+    Raises ValueError, before checking anything, when ``ops`` is a string
+    or names an unknown operation.
     """
-    return is_bijective_mod(f, f.ctx.precision) and all(is_homomorphism(f, op).ok for op in ops)
+    if isinstance(ops, str):
+        raise ValueError(f"ops must be a list of operations, got the string {ops!r}")
+    operations = [operation_by_name(op) for op in ops]
+    return is_bijective_mod(f, f.ctx.precision) and all(
+        is_homomorphism(f, op).ok for op in operations
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,8 @@ class Word:
         return len(self.symbols)
 
     def prefix(self, length: int) -> "Word":
+        if type(length) is not int:  # bools are not lengths
+            raise ValueError(f"prefix length must be an int, got {length!r}")
         if not (1 <= length <= len(self.symbols)):
             raise ValueError(f"prefix length {length} outside [1, {len(self.symbols)}]")
         return Word(self.p, self.symbols[:length])
@@ -74,6 +76,9 @@ def tau(word: Word) -> int:
 
 def tau_inverse(value: int, length: int, p: int) -> Word:
     """Decode a residue in [0, p**length) into a word of that length."""
+    for name, n in (("value", value), ("length", length)):
+        if type(n) is not int:  # bools are not residues or lengths
+            raise ValueError(f"{name} must be an int, got {n!r}")
     if not (0 <= value < p**length):
         raise ValueError(f"value {value} outside [0, {p**length})")
     symbols = []

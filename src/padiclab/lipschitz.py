@@ -278,6 +278,8 @@ def preserves_measure_vdp(f: LipschitzFn) -> CriterionReport:
 def coordinate_subfunctions(f: LipschitzFn, k: int) -> list[tuple[int, ...]]:
     """The p**k digit-k maps of f in prefix order, as ``from_subfunctions`` takes them."""
     ctx = f.ctx
+    if type(k) is not int:  # bools are not levels
+        raise ValueError(f"level must be an int, got {k!r}")
     if not (0 <= k < ctx.precision):
         raise ValueError(f"level {k} outside [0, {ctx.precision})")
     p = ctx.p
@@ -309,6 +311,8 @@ def is_bijective_mod(f: LipschitzFn, k: int) -> bool:
     p**K, so it is onto when f mod p**K is, and an onto self-map of a
     finite set is a bijection.
     """
+    if type(k) is not int:  # bools are not levels
+        raise ValueError(f"level must be an int, got {k!r}")
     if not (1 <= k <= f.ctx.precision):
         raise ValueError(f"level {k} outside [1, {f.ctx.precision}]")
     block = f.ctx.p**k

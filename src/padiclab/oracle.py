@@ -124,11 +124,14 @@ def enumerate_automorphisms(
 
     Exact and complete within the node budget; raises BudgetExceeded rather
     than returning a truncated answer.  Raises ValueError, before any table
-    is built, when the node budget is not an int of at least 1 or one
-    operation table of (p**k)**2 entries would exceed ``MAX_TABLE_SIZE``,
-    and before composing a level whose maps would hold more than
-    ``MAX_TABLE_SIZE`` entries in all.
+    is built, when ``ops`` is a string rather than a list of operations or
+    names, the node budget is not an int of at least 1 or one operation
+    table of (p**k)**2 entries would exceed ``MAX_TABLE_SIZE``, and before
+    composing a level whose maps would hold more than ``MAX_TABLE_SIZE``
+    entries in all.
     """
+    if isinstance(ops, str):
+        raise ValueError(f"ops must be a list of operations, got the string {ops!r}")
     if type(node_budget) is not int or node_budget < 1:
         raise ValueError(f"node budget must be an int >= 1, got {node_budget!r}")
     p, k = ctx.p, ctx.precision
@@ -290,9 +293,18 @@ class SetComparison:
 
 
 def compare_with_family(result: EnumerationResult) -> SetComparison:
-    """Set-compare a single-operation enumeration against its parametric family."""
+    """Set-compare a single-operation enumeration against its parametric family.
+
+    Raises ValueError for a result of several operations or of an operation
+    with no family, such as a custom one.
+    """
     if len(result.ops) != 1:
         raise ValueError("family can only be inferred for single-operation results")
+    if result.ops[0] not in OP_TO_FAMILY:
+        raise ValueError(
+            f"operation {result.ops[0]!r} has no family; "
+            f"families exist for {sorted(OP_TO_FAMILY)}"
+        )
     family = OP_TO_FAMILY[result.ops[0]]
     ctx = PrimeContext(result.p, result.k)
     realized = family_tables(ctx, family)

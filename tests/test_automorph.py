@@ -634,6 +634,25 @@ C32, C33, C52 = PrimeContext(3, 2), PrimeContext(3, 3), PrimeContext(5, 2)
             "modulus 2048 over the analyzer cap 1024",
             id="analyzer-cap",
         ),
+        pytest.param(
+            lambda: is_homomorphism(realize(AddSpec(C32.integer(2))), "minus"),
+            ValueError,
+            "unknown operation 'minus'; choose from ['and', 'plus', 'times', 'xor']",
+            id="hom-unknown-op",
+        ),
+        # resolved before the bijectivity check, which fails for x -> 3x
+        pytest.param(
+            lambda: is_automorphism(LipschitzFn(C32, [3 * x % 9 for x in range(9)]), ["plus", "minus"]),
+            ValueError,
+            "unknown operation 'minus'; choose from ['and', 'plus', 'times', 'xor']",
+            id="aut-unknown-op",
+        ),
+        pytest.param(
+            lambda: is_automorphism(realize(AddSpec(C32.integer(2))), "plus"),
+            ValueError,
+            "ops must be a list of operations, got the string 'plus'",
+            id="aut-ops-string",
+        ),
     ],
 )
 def test_refusals_name_their_cause(make, error, message):
@@ -641,3 +660,12 @@ def test_refusals_name_their_cause(make, error, message):
         make()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_checks_take_operation_names():
+    doubling = realize(AddSpec(C32.integer(2)))
+    assert is_homomorphism(doubling, "plus") == is_homomorphism(doubling, PLUS)
+    assert is_homomorphism(doubling, "times") == is_homomorphism(doubling, TIMES)
+    assert not is_homomorphism(doubling, "times").ok
+    assert is_automorphism(doubling, ["plus"])
+    assert not is_automorphism(doubling, ("plus", "times"))

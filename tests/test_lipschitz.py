@@ -343,6 +343,12 @@ C32 = PrimeContext(3, 2)
         ),
         pytest.param(lambda: is_bijective_mod(identity(C32), 0), "level 0 outside [1, 2]", id="level-0"),
         pytest.param(lambda: is_bijective_mod(identity(C32), 3), "level 3 outside [1, 2]", id="level-3"),
+        # bools are ints to Python, but a level of True is malformed
+        pytest.param(lambda: is_bijective_mod(identity(C32), True), "level must be an int, got True", id="level-bool"),
+        pytest.param(
+            lambda: coordinate_subfunctions(identity(C32), True), "level must be an int, got True",
+            id="subfunctions-level-bool",
+        ),
         pytest.param(
             lambda: vdp_inverse(VdpSeries(C32, (0,) * 8)), "need 9 coefficients, got 8",
             id="vdp-inverse-length",

@@ -6,6 +6,7 @@ import pytest
 
 from padiclab import (
     BudgetExceeded,
+    CustomOp,
     PrimeContext,
     compare_with_family,
     enumerate_automorphisms,
@@ -403,12 +404,33 @@ def test_budget_below_one_is_malformed(budget):
             "unknown operation ['plus']; choose from ['and', 'plus', 'times', 'xor']",
             id="unhashable-op-name",
         ),
+        pytest.param(
+            lambda: compare_with_family(
+                enumerate_automorphisms(PrimeContext(3, 2), [CustomOp(PrimeContext(3, 2), 0, 1, 1).as_operation()])
+            ),
+            "operation 'custom' has no family; families exist for ['and', 'plus', 'times', 'xor']",
+            id="compare-custom-op",
+        ),
+        # refused before any table is built: at p = 65521 one table alone
+        # would exceed the cap, and that error would come first otherwise
+        pytest.param(
+            lambda: enumerate_automorphisms(PrimeContext(65521, 2), "plus"),
+            "ops must be a list of operations, got the string 'plus'",
+            id="ops-string",
+        ),
     ],
 )
 def test_refusals_name_their_cause(make, message):
     with pytest.raises(ValueError) as info:
         make()
     assert str(info.value) == message
+
+
+def test_ops_may_be_any_sequence_of_names_or_operations():
+    ctx = PrimeContext(3, 2)
+    expected = enumerate_automorphisms(ctx, ["plus", "xor"]).automorphisms
+    for ops in (("plus", "xor"), [operation_by_name("plus"), "xor"], (operation_by_name("plus"), operation_by_name("xor"))):
+        assert enumerate_automorphisms(ctx, ops).automorphisms == expected
 
 
 def test_compare_plus_family():
