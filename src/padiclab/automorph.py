@@ -506,11 +506,9 @@ def is_automorphism(f: LipschitzFn, ops) -> bool:
     homomorphism for every listed operation or operation name.
 
     Bijectivity mod p**K decides every level (see ``is_bijective_mod``).
-    Raises ValueError, before checking anything, when ``ops`` is a string
-    or names an unknown operation.
+    Raises ValueError, before checking anything, for an unknown operation
+    name.
     """
-    if isinstance(ops, str):
-        raise ValueError(f"ops must be a list of operations, got the string {ops!r}")
     operations = [operation_by_name(op) for op in ops]
     return is_bijective_mod(f, f.ctx.precision) and all(
         is_homomorphism(f, op).ok for op in operations

@@ -300,12 +300,12 @@ def compare_with_family(result: EnumerationResult) -> SetComparison:
     """
     if len(result.ops) != 1:
         raise ValueError("family can only be inferred for single-operation results")
-    if result.ops[0] not in OP_TO_FAMILY:
+    family = OP_TO_FAMILY.get(result.ops[0])
+    if family is None:
         raise ValueError(
             f"operation {result.ops[0]!r} has no family; "
             f"families exist for {sorted(OP_TO_FAMILY)}"
         )
-    family = OP_TO_FAMILY[result.ops[0]]
     ctx = PrimeContext(result.p, result.k)
     realized = family_tables(ctx, family)
     enumerated = set(result.automorphisms)

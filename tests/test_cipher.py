@@ -385,9 +385,12 @@ def test_demo_record_json():
         pytest.param(lambda: Word(3, (1, 2)).prefix(3), "prefix length 3 outside [1, 2]", id="prefix-3"),
         # bools are ints to Python, but a level or length of True is malformed
         pytest.param(
-            lambda: Word(3, (1, 2)).prefix(True), "prefix length must be an int, got True", id="prefix-bool"
+            lambda: Word(3, (1, 2)).prefix(True), "prefix length must be an int, got True",
+            id="prefix-bool",
         ),
-        pytest.param(lambda: tau_inverse(True, 1, 2), "value must be an int, got True", id="tau-inverse-value-bool"),
+        pytest.param(
+            lambda: tau_inverse(True, 1, 2), "value must be an int, got True", id="tau-inverse-value-bool"
+        ),
         pytest.param(
             lambda: tau_inverse(1, True, 2), "length must be an int, got True", id="tau-inverse-length-bool"
         ),

@@ -344,7 +344,9 @@ C32 = PrimeContext(3, 2)
         pytest.param(lambda: is_bijective_mod(identity(C32), 0), "level 0 outside [1, 2]", id="level-0"),
         pytest.param(lambda: is_bijective_mod(identity(C32), 3), "level 3 outside [1, 2]", id="level-3"),
         # bools are ints to Python, but a level of True is malformed
-        pytest.param(lambda: is_bijective_mod(identity(C32), True), "level must be an int, got True", id="level-bool"),
+        pytest.param(
+            lambda: is_bijective_mod(identity(C32), True), "level must be an int, got True", id="level-bool"
+        ),
         pytest.param(
             lambda: coordinate_subfunctions(identity(C32), True), "level must be an int, got True",
             id="subfunctions-level-bool",

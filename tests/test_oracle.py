@@ -388,6 +388,9 @@ def test_budget_below_one_is_malformed(budget):
         enumerate_automorphisms(PrimeContext(65521, 2), ["plus"], node_budget=budget)
 
 
+C32 = PrimeContext(3, 2)
+
+
 @pytest.mark.parametrize(
     "make,message",
     [
@@ -406,7 +409,7 @@ def test_budget_below_one_is_malformed(budget):
         ),
         pytest.param(
             lambda: compare_with_family(
-                enumerate_automorphisms(PrimeContext(3, 2), [CustomOp(PrimeContext(3, 2), 0, 1, 1).as_operation()])
+                enumerate_automorphisms(C32, [CustomOp(C32, 0, 1, 1).as_operation()])
             ),
             "operation 'custom' has no family; families exist for ['and', 'plus', 'times', 'xor']",
             id="compare-custom-op",
@@ -429,7 +432,8 @@ def test_refusals_name_their_cause(make, message):
 def test_ops_may_be_any_sequence_of_names_or_operations():
     ctx = PrimeContext(3, 2)
     expected = enumerate_automorphisms(ctx, ["plus", "xor"]).automorphisms
-    for ops in (("plus", "xor"), [operation_by_name("plus"), "xor"], (operation_by_name("plus"), operation_by_name("xor"))):
+    plus, xor = operation_by_name("plus"), operation_by_name("xor")
+    for ops in (("plus", "xor"), [plus, "xor"], (plus, xor)):
         assert enumerate_automorphisms(ctx, ops).automorphisms == expected
 
 
