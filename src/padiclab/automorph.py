@@ -49,8 +49,8 @@ class Operation(NamedTuple):
 
 PLUS = Operation("plus", lambda ctx, x, y: (x + y) % ctx.modulus)
 TIMES = Operation("times", lambda ctx, x, y: (x * y) % ctx.modulus)
-XOR = Operation("xor", lambda ctx, x, y: ctx.xor_values(x, y))
-AND = Operation("and", lambda ctx, x, y: ctx.and_values(x, y))
+XOR = Operation("xor", PrimeContext.xor_values)
+AND = Operation("and", PrimeContext.and_values)
 
 OPERATIONS = {op.name: op for op in (PLUS, TIMES, XOR, AND)}
 
@@ -61,6 +61,17 @@ def operation_by_name(name: "Operation | str") -> Operation:
     if isinstance(op, Operation):
         return op
     raise ValueError(f"unknown operation {name!r}; choose from {sorted(OPERATIONS)}")
+
+
+def operations_by_name(ops) -> list[Operation]:
+    """Each of a list of operations or names, resolved by ``operation_by_name``.
+
+    A bare string is refused rather than read as a list of one-character
+    names.
+    """
+    if isinstance(ops, str):
+        raise ValueError(f"ops must be a list of operations, got the string {ops!r}")
+    return [operation_by_name(op) for op in ops]
 
 
 class CustomOp:
@@ -485,18 +496,19 @@ def is_homomorphism(
     ctx = f.ctx
     n = ctx.modulus
     table = f.table
+    apply = op.apply
     if n <= EXHAUSTIVE_PAIR_LIMIT:
         for x in range(n):
             fx = table[x]
             for y in range(n):
-                if table[op.apply(ctx, x, y)] != op.apply(ctx, fx, table[y]):
+                if table[apply(ctx, x, y)] != apply(ctx, fx, table[y]):
                     return HomReport(False, (x, y), "exhaustive", x * n + y + 1)
         return HomReport(True, None, "exhaustive", n * n)
-    rng = random.Random(seed)
+    randrange = random.Random(seed).randrange
     for i in range(samples):
-        x = rng.randrange(n)
-        y = rng.randrange(n)
-        if table[op.apply(ctx, x, y)] != op.apply(ctx, table[x], table[y]):
+        x = randrange(n)
+        y = randrange(n)
+        if table[apply(ctx, x, y)] != apply(ctx, table[x], table[y]):
             return HomReport(False, (x, y), "random", i + 1)
     return HomReport(True, None, "random", samples)
 
@@ -506,10 +518,10 @@ def is_automorphism(f: LipschitzFn, ops) -> bool:
     homomorphism for every listed operation or operation name.
 
     Bijectivity mod p**K decides every level (see ``is_bijective_mod``).
-    Raises ValueError, before checking anything, for an unknown operation
-    name.
+    Raises ValueError, before checking anything, when ``ops`` is a string
+    or names an unknown operation.
     """
-    operations = [operation_by_name(op) for op in ops]
+    operations = operations_by_name(ops)
     return is_bijective_mod(f, f.ctx.precision) and all(
         is_homomorphism(f, op).ok for op in operations
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PrimeContext, is_prime, mapping_field, sequence_field
+from .core import PrimeContext, _is_small_prime, mapping_field, sequence_field
 from .lipschitz import LipschitzFn, _check_table_size
 from .automorph import Operation, operation_by_name
 
@@ -27,7 +27,7 @@ def _check_symbols(p: int, symbols: tuple, field: str) -> None:
     """A prime int alphabet size below 2**16, and every symbol an int in [0, p)."""
     if type(p) is int and p >= 2**16:  # refused before trial division, as PrimeContext does
         raise ValueError(f"alphabet size must be below 2**16, got {p}")
-    if type(p) is not int or not is_prime(p):  # bools and floats are not ints here
+    if type(p) is not int or p < 2 or not _is_small_prime(p):  # bools and floats are not ints here
         raise ValueError(f"alphabet size must be a prime int, got {p!r}")
     for i, s in enumerate(symbols):
         if type(s) is not int or not 0 <= s < p:

@@ -14,11 +14,24 @@ u**a depends only on a mod p**(K-1) and pow(u, a mod p**K, p**K) is exact.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
 MAX_PRECISION = 32
+
+# A digit-wise op at odd p reads c digits of both operands at once from a
+# table of P*P bytes, P = p**c the widest power with P*P within this cap:
+# P = 27, 25 and 49 at p = 3, 5 and 7.  From p = 11 on c would be 1, and the
+# digit loop runs instead.
+_CHUNK_TABLE_CAP = 4096
+_CHUNKED_BELOW = math.isqrt(math.isqrt(_CHUNK_TABLE_CAP)) + 1  # p**4 within the cap
+# (P, table) per odd prime below _CHUNKED_BELOW, built on first use
+_SUM_CHUNKS: dict[int, tuple[int, bytes]] = {}
+_PRODUCT_CHUNKS: dict[int, tuple[int, bytes]] = {}
 
 
 class ContextMismatch(ValueError):
@@ -39,6 +52,34 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# is_prime for n in [2, 2**16), once per n: its callers refuse every other n
+# first, which bounds the cache
+_is_small_prime = functools.cache(is_prime)
+
+
+def _chunk_table(chunks: dict, p: int, digit_op) -> tuple[int, bytes]:
+    """Build and keep ``chunks[p]``: (P, table) with table[a*P + b] the
+    digit-wise ``digit_op`` mod p of a, b < P.
+
+    The table over one digit is extended a digit at a time: for a = a_hi*Q
+    + a_lo and b = b_hi*Q + b_lo with Q the width so far, the entry is the
+    one-digit entry of (a_hi, b_hi) times Q plus the Q-wide entry of (a_lo,
+    b_lo).
+    """
+    digit = [[digit_op(a, b) % p for b in range(p)] for a in range(p)]
+    rows, width = digit, p
+    while (width * p) ** 2 <= _CHUNK_TABLE_CAP:
+        high = [[d * width for d in row] for row in digit]
+        rows = [
+            [h + low for h in high[a_hi] for low in rows[a_lo]]
+            for a_hi in range(p)
+            for a_lo in range(width)
+        ]
+        width *= p
+    chunks[p] = width, bytes(itertools.chain.from_iterable(rows))
+    return chunks[p]
+
+
 class PrimeContext:
     """Shared setting (p, K): base prime and number of stored digits.
 
@@ -54,7 +95,7 @@ class PrimeContext:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if not (2 <= p < 2**16):
             raise ValueError(f"p must satisfy 2 <= p < 2**16, got {p}")
-        if not is_prime(p):
+        if not _is_small_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if not (1 <= precision <= MAX_PRECISION):
             raise ValueError(f"precision must be in [1, {MAX_PRECISION}], got {precision}")
@@ -97,10 +138,20 @@ class PrimeContext:
         return value
 
     def xor_values(self, x: int, y: int) -> int:
-        """Digit-wise addition mod p of two residues (no carries)."""
+        """Digit-wise addition mod p of two residues in [0, p**K) (no carries)."""
         p = self.p
         if p == 2:  # the base-2 digits are the bits: digit sum mod 2 is XOR
             return x ^ y
+        if p < _CHUNKED_BELOW:  # written out here and in and_values: a helper costs a frame per op
+            width, table = _SUM_CHUNKS.get(p) or _chunk_table(_SUM_CHUNKS, p, operator.add)
+            out = 0
+            scale = 1
+            while x > 0 or y > 0:
+                out += table[x % width * width + y % width] * scale
+                x //= width
+                y //= width
+                scale *= width
+            return out
         out = 0
         scale = 1
         for _ in range(self.precision):
@@ -111,10 +162,20 @@ class PrimeContext:
         return out
 
     def and_values(self, x: int, y: int) -> int:
-        """Digit-wise multiplication mod p of two residues (no carries)."""
+        """Digit-wise multiplication mod p of two residues in [0, p**K) (no carries)."""
         p = self.p
         if p == 2:  # the base-2 digits are the bits: digit product is AND
             return x & y
+        if p < _CHUNKED_BELOW:
+            width, table = _PRODUCT_CHUNKS.get(p) or _chunk_table(_PRODUCT_CHUNKS, p, operator.mul)
+            out = 0
+            scale = 1
+            while x > 0 or y > 0:
+                out += table[x % width * width + y % width] * scale
+                x //= width
+                y //= width
+                scale *= width
+            return out
         out = 0
         scale = 1
         for _ in range(self.precision):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .core import PrimeContext
 from .lipschitz import MAX_TABLE_SIZE
-from .automorph import OP_TO_FAMILY, family_tables, operation_by_name
+from .automorph import OP_TO_FAMILY, family_tables, operations_by_name
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
@@ -130,8 +130,7 @@ def enumerate_automorphisms(
     composing a level whose maps would hold more than ``MAX_TABLE_SIZE``
     entries in all.
     """
-    if isinstance(ops, str):
-        raise ValueError(f"ops must be a list of operations, got the string {ops!r}")
+    operations = operations_by_name(ops)
     if type(node_budget) is not int or node_budget < 1:
         raise ValueError(f"node budget must be an int >= 1, got {node_budget!r}")
     p, k = ctx.p, ctx.precision
@@ -140,7 +139,6 @@ def enumerate_automorphisms(
             f"operation tables of {ctx.modulus}**2 entries exceed the "
             f"desk-scale cap {MAX_TABLE_SIZE}"
         )
-    operations = [operation_by_name(op) for op in ops]
 
     # per level j: the flat table of x op y mod p**(j+1) for each op, and
     # its transpose (y op x) too when the op is not commutative, so that

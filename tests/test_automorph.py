@@ -647,6 +647,12 @@ C32, C33, C52 = PrimeContext(3, 2), PrimeContext(3, 3), PrimeContext(5, 2)
             "unknown operation 'minus'; choose from ['and', 'plus', 'times', 'xor']",
             id="aut-unknown-op",
         ),
+        pytest.param(
+            lambda: is_automorphism(realize(AddSpec(C32.integer(2))), "plus"),
+            ValueError,
+            "ops must be a list of operations, got the string 'plus'",
+            id="aut-ops-string",
+        ),
     ],
 )
 def test_refusals_name_their_cause(make, error, message):

@@ -68,6 +68,7 @@ def test_alphabet_of_2_16_or_more_is_refused_before_trial_division(p):
         (lambda: Word(3, (True, 1)), "symbols[0] = True, expected an int in [0, 3)"),
         (lambda: Word(3, (2, 1.0)), "symbols[1] = 1.0, expected an int in [0, 3)"),
         (lambda: Word(3.0, (2, 1)), "alphabet size must be a prime int, got 3.0"),
+        (lambda: Word(-3, (0,)), "alphabet size must be a prime int, got -3"),
         (lambda: KeystreamKey(3, (1, False)), "gamma[1] = False, expected an int in [0, 3)"),
         (lambda: KeystreamKey(3.0, (1, 0)), "alphabet size must be a prime int, got 3.0"),
         (lambda: SubstitutionKey(3, (2.0, 0, 1)), "g[0] = 2.0, expected an int in [0, 3)"),

@@ -13,7 +13,10 @@ construction; every built table is passed through ``from_table`` here.
 
 import hashlib
 import math
+import operator
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +54,7 @@ from padiclab import (
     vdp_inverse,
     vdp_transform,
 )
+from padiclab import core
 
 GRID = [(2, 1), (2, 2), (2, 3), (2, 7), (3, 4), (5, 2), (7, 2), (11, 2)]
 SPECS_PER_FAMILY = 4
@@ -384,7 +388,12 @@ def test_normalized_divides_by_the_leading_place(ctx):
 # references
 # ---------------------------------------------------------------------------
 
-DIGIT_OP_CONTEXTS = [(2, 1), (2, 13), (2, 32), (3, 8), (5, 13), (65521, 2)]
+# K not a multiple of the chunk width c (3 at p = 3, 2 at p = 5 and 7), and
+# primes about the chunk table cap, where c would be 1 and the digit loop runs
+DIGIT_OP_CONTEXTS = [
+    (2, 1), (2, 13), (2, 32), (3, 1), (3, 4), (3, 8), (3, 20), (5, 3), (5, 13),
+    (7, 5), (11, 3), (13, 2), (61, 2), (67, 2), (65521, 2),
+]
 
 
 def reference_digit_op(ctx, x, y, digit_op):
@@ -397,10 +406,38 @@ def reference_digit_op(ctx, x, y, digit_op):
 @given(st.data())
 def test_digit_wise_ops_match_per_digit_reference(data):
     ctx = PrimeContext(*data.draw(st.sampled_from(DIGIT_OP_CONTEXTS), label="(p, K)"))
-    residue = st.one_of(st.just(0), st.just(ctx.modulus - 1), st.integers(0, ctx.modulus - 1))
+    # a value below p**i has zero digits, and so zero chunks, above place i
+    low = st.integers(0, ctx.precision).flatmap(lambda i: st.integers(0, ctx.p**i - 1))
+    residue = st.one_of(
+        st.just(0), st.just(ctx.modulus - 1), st.integers(0, ctx.modulus - 1), low
+    )
     x, y = data.draw(residue, label="x"), data.draw(residue, label="y")
     assert ctx.xor_values(x, y) == reference_digit_op(ctx, x, y, lambda a, b: a + b)
     assert ctx.and_values(x, y) == reference_digit_op(ctx, x, y, lambda a, b: a * b)
+
+
+@pytest.mark.parametrize("p,c", [(3, 3), (5, 2), (7, 2)])
+@pytest.mark.parametrize("digit_op", [operator.add, operator.mul], ids=["sum", "product"])
+def test_chunk_tables_match_per_digit_reference(p, c, digit_op):
+    ctx, width = PrimeContext(p, c), p**c
+    expected = bytes(
+        reference_digit_op(ctx, a, b, digit_op) for a in range(width) for b in range(width)
+    )
+    assert core._chunk_table({}, p, digit_op) == (width, expected)
+
+
+def test_chunk_tables_are_built_on_first_use_only():
+    script = (
+        "import padiclab, padiclab.cli\n"
+        "from padiclab import core\n"
+        "print(sorted(core._SUM_CHUNKS), sorted(core._PRODUCT_CHUNKS))\n"
+        "core.PrimeContext(3, 4).xor_values(5, 7)\n"
+        "core.PrimeContext(11, 2).and_values(5, 7)\n"
+        "print(sorted(core._SUM_CHUNKS), sorted(core._PRODUCT_CHUNKS))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout.splitlines() == ["[] []", "[3] []"]
 
 
 def reference_vdp_coefficients(f):
