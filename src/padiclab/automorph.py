@@ -27,6 +27,7 @@ from .core import (
     ContextMismatch,
     PadicInt,
     PrimeContext,
+    _uniform_draws,
     mapping_field,
     padic_from_json,
     pow_unit,
@@ -486,13 +487,16 @@ def is_homomorphism(
 
     ``op`` is an operation or the name of a builtin one.  Exhaustive mode
     scans pairs in lexicographic order and reports the first counterexample;
-    otherwise ``samples`` seeded random pairs are drawn.  Raises ValueError,
-    before checking anything, for an unknown operation name or when
-    ``samples`` is not an int of at least 1.
+    otherwise ``samples`` random pairs are drawn, each x then y the values
+    ``random.Random(seed).randrange(p**K)`` would give.  Raises ValueError,
+    before checking anything, for an unknown operation name, when ``samples``
+    is not an int of at least 1, or when ``seed`` is not an int.
     """
     op = operation_by_name(op)
     if type(samples) is not int or samples < 1:
         raise ValueError(f"samples must be an int >= 1, got {samples!r}")
+    if type(seed) is not int:  # None would seed from the OS, True is no seed
+        raise ValueError(f"seed must be an int, got {seed!r}")
     ctx = f.ctx
     n = ctx.modulus
     table = f.table
@@ -504,10 +508,8 @@ def is_homomorphism(
                 if table[apply(ctx, x, y)] != apply(ctx, fx, table[y]):
                     return HomReport(False, (x, y), "exhaustive", x * n + y + 1)
         return HomReport(True, None, "exhaustive", n * n)
-    randrange = random.Random(seed).randrange
-    for i in range(samples):
-        x = randrange(n)
-        y = randrange(n)
+    draws = _uniform_draws(random.Random(seed), n)
+    for i, x, y in zip(range(samples), draws, draws):
         if table[apply(ctx, x, y)] != apply(ctx, table[x], table[y]):
             return HomReport(False, (x, y), "random", i + 1)
     return HomReport(True, None, "random", samples)

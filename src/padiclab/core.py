@@ -57,6 +57,24 @@ def is_prime(n: int) -> bool:
 _is_small_prime = functools.cache(is_prime)
 
 
+def _uniform_draws(rng, n: int):
+    """Yield, without end, the values ``rng.randrange(n)`` would give, in order.
+
+    This is CPython's ``Random._randbelow_with_getrandbits``, which
+    ``randrange(n)`` and ``shuffle`` call for a ``random.Random``: draw
+    n.bit_length() bits and keep the draw when it is below n.  So the values
+    and the generator state after each one are ``randrange``'s, without its
+    argument checks and two Python frames per draw.  The generator resumes
+    only when asked, so several of them can share one rng in any interleaving.
+    """
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    while True:
+        r = getrandbits(bits)
+        if r < n:
+            yield r
+
+
 def _chunk_table(chunks: dict, p: int, digit_op) -> tuple[int, bytes]:
     """Build and keep ``chunks[p]``: (P, table) with table[a*P + b] the
     digit-wise ``digit_op`` mod p of a, b < P.

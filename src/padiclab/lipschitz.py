@@ -14,9 +14,10 @@ sub-function is a permutation of the digit alphabet.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 
-from .core import PrimeContext, mapping_field, sequence_field
+from .core import PrimeContext, _uniform_draws, mapping_field, sequence_field
 
 # value tables are materialized in full; anything larger is out of scope
 MAX_TABLE_SIZE = 2**24
@@ -325,25 +326,47 @@ def is_bijective_mod(f: LipschitzFn, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def random_lipschitz(ctx: PrimeContext, rng) -> LipschitzFn:
-    """Uniform tower-compatible function: independent random digit maps."""
+def _check_rng(rng) -> None:
+    if not isinstance(rng, random.Random):
+        raise ValueError(f"rng must be a random.Random, got {rng!r}")
+
+
+def random_lipschitz(ctx: PrimeContext, rng: random.Random) -> LipschitzFn:
+    """Uniform tower-compatible function: independent random digit maps.
+
+    The digit maps take, level by level and prefix by prefix, the values p
+    calls of ``rng.randrange(p)`` would give.  Raises ValueError, before
+    building anything, when ``rng`` is not a ``random.Random`` or the table
+    is over the size cap.
+    """
+    _check_rng(rng)
     _check_table_size(ctx)
     p = ctx.p
-    randrange = rng.randrange
+    draws = _uniform_draws(rng, p)
     subfunctions = [
-        [tuple([randrange(p) for _ in range(p)]) for _ in range(p**k)]
-        for k in range(ctx.precision)
+        [tuple(itertools.islice(draws, p)) for _ in range(p**k)] for k in range(ctx.precision)
     ]
     return LipschitzFn.from_subfunctions(ctx, subfunctions, "random_lipschitz")
 
 
-def random_measure_preserving(ctx: PrimeContext, rng) -> LipschitzFn:
-    """Uniform invertible tower-compatible function: independent random digit permutations."""
+def random_measure_preserving(ctx: PrimeContext, rng: random.Random) -> LipschitzFn:
+    """Uniform invertible tower-compatible function: independent random digit permutations.
+
+    Each digit map is ``list(range(p))`` after ``rng.shuffle``, level by level
+    and prefix by prefix: the same Fisher-Yates swaps, where position i swaps
+    with a draw below i + 1.  Raises ValueError, before building anything,
+    when ``rng`` is not a ``random.Random`` or the table is over the size cap.
+    """
+    _check_rng(rng)
     _check_table_size(ctx)
-    subfunctions = [[list(range(ctx.p)) for _ in range(ctx.p**k)] for k in range(ctx.precision)]
+    p = ctx.p
+    subfunctions = [[list(range(p)) for _ in range(p**k)] for k in range(ctx.precision)]
+    swaps = [(i, _uniform_draws(rng, i + 1)) for i in reversed(range(1, p))]
     for level in subfunctions:
         for perm in level:
-            rng.shuffle(perm)
+            for i, draws in swaps:
+                j = next(draws)
+                perm[i], perm[j] = perm[j], perm[i]
     return LipschitzFn.from_subfunctions(ctx, subfunctions, "random_measure_preserving")
 
 

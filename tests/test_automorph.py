@@ -209,6 +209,17 @@ def test_hom_refuses_a_sample_count_below_one(samples, K):
     assert str(info.value) == f"samples must be an int >= 1, got {samples!r}"
 
 
+@pytest.mark.parametrize("seed", [None, True, False, "abc", 1.5])
+@pytest.mark.parametrize("K", [2, 11], ids=["exhaustive", "random"])
+def test_hom_refuses_a_seed_that_is_not_an_int(seed, K):
+    # None would seed from the OS entropy, so no two calls would agree;
+    # refused before any pair is checked, in either mode
+    f = realize(AddSpec(PrimeContext(2, K).integer(3)))
+    with pytest.raises(ValueError) as info:
+        is_homomorphism(f, XOR, seed=seed)
+    assert str(info.value) == f"seed must be an int, got {seed!r}"
+
+
 def test_hom_random_mode_reports_its_counterexample():
     f = realize(AddSpec(PrimeContext(2, 11).integer(3)))
     report = is_homomorphism(f, XOR, seed=5)

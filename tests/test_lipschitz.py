@@ -359,6 +359,24 @@ C32 = PrimeContext(3, 2)
             lambda: series_from_json({"p": 3, "K": 2, "B": [0] * 8}), "need 9 coefficients, got 8",
             id="series-json-length",
         ),
+        # both generators draw from rng.getrandbits, so the rng is named
+        pytest.param(
+            lambda: random_lipschitz(C32, 5), "rng must be a random.Random, got 5",
+            id="random-lipschitz-int-rng",
+        ),
+        pytest.param(
+            lambda: random_lipschitz(C32, None), "rng must be a random.Random, got None",
+            id="random-lipschitz-none-rng",
+        ),
+        pytest.param(
+            lambda: random_measure_preserving(C32, random),
+            f"rng must be a random.Random, got {random!r}",
+            id="random-measure-preserving-module-rng",
+        ),
+        pytest.param(
+            lambda: random_measure_preserving(C32, 0), "rng must be a random.Random, got 0",
+            id="random-measure-preserving-int-rng",
+        ),
     ],
 )
 def test_refusals_name_their_cause(make, message):
@@ -388,6 +406,12 @@ def _limit_address_space() -> None:
             "random_measure_preserving(PrimeContext(3, 17), random.Random(0))",
             OVER_TABLE_CAP.format(3**17),
         ),
+        # the rng is refused first, before the size check and the tables
+        ("random_lipschitz(PrimeContext(2, 27), 5)", "rng must be a random.Random, got 5"),
+        (
+            "random_measure_preserving(PrimeContext(3, 17), None)",
+            "rng must be a random.Random, got None",
+        ),
         ("model_fn(SubstitutionKey(2, [1, 0]), PrimeContext(2, 32))", OVER_TABLE_CAP.format(2**32)),
         (
             "next(iter_all_lipschitz(PrimeContext(11, 1)))",
@@ -414,6 +438,8 @@ def _limit_address_space() -> None:
     ids=[
         "random_lipschitz-2-27",
         "random_measure_preserving-3-17",
+        "random_lipschitz-2-27-int-rng",
+        "random_measure_preserving-3-17-none-rng",
         "model_fn-2-32",
         "iter_all_lipschitz-11-1",
         "iter_all_lipschitz-7-2",
