@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import add, ne
 
 from .core import PrimeContext, _uniform_draws, mapping_field, sequence_field
 
@@ -23,6 +24,9 @@ from .core import PrimeContext, _uniform_draws, mapping_field, sequence_field
 MAX_TABLE_SIZE = 2**24
 # iter_all_lipschitz refuses to yield more functions than this
 ENUMERATION_LIMIT = 10**6
+# the criteria sum digit bits 1 << d up to this p, where a full sum is below
+# 2**7, a cached small int; at p = 65521 the bits of one table take 275 MiB
+_BIT_SUM_MAX_P = 7
 
 
 class CompatibilityViolation(ValueError):
@@ -43,6 +47,19 @@ def _check_table_size(ctx: PrimeContext) -> None:
         raise ValueError(
             f"table of size {ctx.modulus} exceeds the desk-scale cap {MAX_TABLE_SIZE}"
         )
+
+
+def _assemble(p: int, levels) -> list[int]:
+    """The table of digit maps given as flat levels, phi_{k,a}(d) at level[a*p + d].
+
+    table[a + d*p**k] = table[a] + phi_{k,a}(d) * p**k with table[a] the value
+    on the k low digits, so column d is level[d::p]; O(p**K) in all.
+    """
+    table, block = [0], 1
+    for level in levels:
+        table = [v + digit * block for d in range(p) for v, digit in zip(table, level[d::p])]
+        block *= p
+    return table
 
 
 class LipschitzFn:
@@ -66,9 +83,10 @@ class LipschitzFn:
         since rest < x agrees with x mod p**n), so one O(p**K) pass over the
         digit places, each place's arguments against their rests
         table[:p**n], decides it.  Only when that pass fails does the
-        O(K p**K) ordered scan run: the first violation by level, then by
-        argument, is raised as CompatibilityViolation naming the canonical
-        representative, the argument and the level.
+        O(K p**K) scan, each level's residues against its first block
+        repeated: the first violation by level, then by argument, is raised
+        as CompatibilityViolation naming the canonical representative, the
+        argument and the level.
         """
         _check_table_size(ctx)
         table = tuple(table)
@@ -85,36 +103,37 @@ class LipschitzFn:
         ):
             for level in range(1, ctx.precision):
                 block = p**level
-                for x in range(block, ctx.modulus):
-                    rep = x % block
-                    if table[x] % block != table[rep] % block:
-                        raise CompatibilityViolation(rep, x, level)
+                residues = [v % block for v in table]
+                reps = residues[:block] * (ctx.modulus // block)
+                if residues != reps:
+                    x = list(map(ne, residues, reps)).index(True)
+                    raise CompatibilityViolation(x % block, x, level)
         return cls(ctx, table, provenance)
 
     @classmethod
     def from_subfunctions(
         cls, ctx: PrimeContext, subfunctions, provenance: str | None = None
     ) -> "LipschitzFn":
-        """Assemble a table from digit maps, checking only its shape and range.
+        """Assemble a table from digit maps, checking only their shape, type and range.
 
         ``subfunctions[k][a]`` gives the k-th output digit as a function of
         the k-th input digit once the k low digits equal the prefix a, so
-        level k must hold exactly p**k maps of exactly p digits.  For any
-        integer digit maps f(x) mod p**j depends only on x mod p**j, so the
-        result is tower compatible and needs no tower pass.  The table is
-        built level by level, table[a + d*p**k] = table[a] + phi_{k,a}(d) * p**k
-        with table[a] the value on the k low digits, in O(p**K).
+        level k must hold exactly p**k maps of exactly p int digits.  For
+        any integer digit maps f(x) mod p**j depends only on x mod p**j, so
+        the result is tower compatible and needs no tower pass.
         """
         _check_table_size(ctx)
         p = ctx.p
         if len(subfunctions) != ctx.precision:
             raise ValueError(f"{len(subfunctions)} levels of digit maps, expected {ctx.precision}")
-        table = [0]
+        levels = []
         for k, level in enumerate(subfunctions):
-            block = p**k
-            if len(level) != block or set(map(len, level)) != {p}:
-                raise ValueError(f"level {k} needs {block} digit maps of {p} digits each")
-            table = [v + phi[d] * block for d in range(p) for v, phi in zip(table, level)]
+            if len(level) != p**k or set(map(len, level)) != {p}:
+                raise ValueError(f"level {k} needs {p**k} digit maps of {p} digits each")
+            levels.append(list(itertools.chain.from_iterable(level)))
+            if set(map(type, levels[-1])) != {int}:  # bools and floats are not digits
+                raise ValueError(f"level {k} holds a digit that is not an int")
+        table = _assemble(p, levels)
         if not (0 <= min(table) and max(table) < ctx.modulus):
             raise ValueError(f"digit maps give values outside [0, {ctx.modulus})")
         return cls(ctx, table, provenance)
@@ -245,13 +264,32 @@ class CriterionReport:
         return self.ok
 
 
+def _first_short_sum(bits: list[int], block: int, full: int) -> int | None:
+    """The first m < block whose stride-block group bits[m::block] does not sum to full.
+
+    The bits are 1 << d for digits d, and full is the sum of the bits of the
+    digits each group must hold.  n powers of two sum to a number with n
+    one-bits iff they are distinct, so a group sums to full iff its digits
+    are exactly those.  The groups are summed a column at a time.
+    """
+    if block == 1:
+        return None if sum(bits) == full else 0
+    sums = bits[:block]
+    for i in range(block, len(bits), block):
+        sums = list(map(add, sums, bits[i : i + block]))
+    if sums.count(full) == block:
+        return None
+    return next(m for m, s in enumerate(sums) if s != full)
+
+
 def preserves_measure_vdp(f: LipschitzFn) -> CriterionReport:
     """Ball-coefficient criterion for invertibility.
 
     The base coefficients b_0..b_{p-1} must form a complete residue system
     mod p, and for each level k >= 1 and base point m < p**k the normalized
     coefficients over the sibling balls {m + i*p**k : i = 1..p-1} must hit
-    every nonzero residue mod p.
+    every nonzero residue mod p: by digit bit-sums at p <= _BIT_SUM_MAX_P, by
+    one set per base point above.
     """
     ctx = f.ctx
     p = ctx.p
@@ -260,19 +298,23 @@ def preserves_measure_vdp(f: LipschitzFn) -> CriterionReport:
         return CriterionReport(
             ok=False, failure=(0, 0), detail="base coefficients not a complete residue system"
         )
-    nonzero = set(range(1, p))
+    nonzero, full = set(range(1, p)), (1 << p) - 2
     for k in range(1, ctx.precision):
         block = p**k
         # b_x = B_x / p**k mod p for x in [p**k, p**(k+1)); the siblings of m
         # are x = m + i*p**k, i = 1..p-1, a stride-p**k slice
-        residues = [b // block % p for b in coeffs[block : block * p]]
-        for m in range(block):
-            if set(residues[m::block]) != nonzero:
-                return CriterionReport(
-                    ok=False,
-                    failure=(k, m),
-                    detail=f"sibling coefficients of {m} at level {k} miss a nonzero residue",
-                )
+        siblings = coeffs[block : block * p]
+        if p <= _BIT_SUM_MAX_P:
+            m = _first_short_sum([1 << (b // block % p) for b in siblings], block, full)
+        else:
+            residues = [b // block % p for b in siblings]
+            m = next((m for m in range(block) if set(residues[m::block]) != nonzero), None)
+        if m is not None:
+            return CriterionReport(
+                ok=False,
+                failure=(k, m),
+                detail=f"sibling coefficients of {m} at level {k} miss a nonzero residue",
+            )
     return CriterionReport(ok=True)
 
 
@@ -289,18 +331,27 @@ def coordinate_subfunctions(f: LipschitzFn, k: int) -> list[tuple[int, ...]]:
 
 
 def preserves_measure_coord(f: LipschitzFn) -> CriterionReport:
-    """Digit-level criterion: every sub-function permutes the digit alphabet."""
+    """Digit-level criterion: every sub-function permutes the digit alphabet.
+
+    Checked by digit bit-sums at p <= _BIT_SUM_MAX_P, by one set per prefix
+    above.
+    """
     p = f.ctx.p
+    full = (1 << p) - 1
     for k in range(f.ctx.precision):
         block = p**k
-        digits = [v // block % p for v in f.table[: block * p]]
-        for a in range(block):
-            if len(set(digits[a::block])) != p:
-                return CriterionReport(
-                    ok=False,
-                    failure=(k, a),
-                    detail=f"sub-function at level {k}, prefix {a} is not a permutation",
-                )
+        values = f.table[: block * p]
+        if p <= _BIT_SUM_MAX_P:
+            a = _first_short_sum([1 << (v // block % p) for v in values], block, full)
+        else:
+            digits = [v // block % p for v in values]
+            a = next((a for a in range(block) if len(set(digits[a::block])) != p), None)
+        if a is not None:
+            return CriterionReport(
+                ok=False,
+                failure=(k, a),
+                detail=f"sub-function at level {k}, prefix {a} is not a permutation",
+            )
     return CriterionReport(ok=True)
 
 
@@ -343,10 +394,8 @@ def random_lipschitz(ctx: PrimeContext, rng: random.Random) -> LipschitzFn:
     _check_table_size(ctx)
     p = ctx.p
     draws = _uniform_draws(rng, p)
-    subfunctions = [
-        [tuple(itertools.islice(draws, p)) for _ in range(p**k)] for k in range(ctx.precision)
-    ]
-    return LipschitzFn.from_subfunctions(ctx, subfunctions, "random_lipschitz")
+    levels = (list(itertools.islice(draws, p ** (k + 1))) for k in range(ctx.precision))
+    return LipschitzFn(ctx, _assemble(p, levels), "random_lipschitz")
 
 
 def random_measure_preserving(ctx: PrimeContext, rng: random.Random) -> LipschitzFn:
@@ -360,14 +409,15 @@ def random_measure_preserving(ctx: PrimeContext, rng: random.Random) -> Lipschit
     _check_rng(rng)
     _check_table_size(ctx)
     p = ctx.p
-    subfunctions = [[list(range(p)) for _ in range(p**k)] for k in range(ctx.precision)]
+    levels = [list(range(p)) * p**k for k in range(ctx.precision)]
     swaps = [(i, _uniform_draws(rng, i + 1)) for i in reversed(range(1, p))]
-    for level in subfunctions:
-        for perm in level:
+    for level in levels:
+        for start in range(0, len(level), p):
             for i, draws in swaps:
-                j = next(draws)
-                perm[i], perm[j] = perm[j], perm[i]
-    return LipschitzFn.from_subfunctions(ctx, subfunctions, "random_measure_preserving")
+                i += start
+                j = start + next(draws)
+                level[i], level[j] = level[j], level[i]
+    return LipschitzFn(ctx, _assemble(p, levels), "random_measure_preserving")
 
 
 def iter_all_lipschitz(ctx: PrimeContext):
@@ -406,7 +456,10 @@ def fn_from_json(data: dict) -> LipschitzFn:
     data = mapping_field(data, "function")
     ctx = PrimeContext(data["p"], data["K"])
     table = sequence_field(data["table"], "table")
-    return LipschitzFn.from_table(ctx, table, data.get("provenance"))
+    provenance = data.get("provenance")
+    if "provenance" in data and type(provenance) is not str:
+        raise ValueError(f"provenance = {provenance!r}, expected a string")
+    return LipschitzFn.from_table(ctx, table, provenance)
 
 
 def series_from_json(data: dict) -> VdpSeries:

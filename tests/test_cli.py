@@ -732,6 +732,15 @@ WORDS_3 = '[{"p":3,"symbols":[1,2]}]'
             )
             for op, name in [('["leaf",0]', "['leaf', 0]"), ("7", "7"), ('{"xor":1}', "{'xor': 1}")]
         ),
+        # a function's provenance, where present, is a string
+        (
+            ["check", "--in", '{"p":2,"K":1,"table":[0,1],"provenance":7}'],
+            "error: provenance = 7, expected a string",
+        ),
+        (
+            ["eval", "--p", "2", "--K", "1", "--x", "0", "--spec", '{"table":[0,1],"provenance":[]}'],
+            "error: provenance = [], expected a string",
+        ),
     ],
 )
 def test_non_int_json_field_is_named(capsys, argv, message):

@@ -87,6 +87,28 @@ def test_one_pass_tower_check_matches_naive_definition(data):
         vdp_transform(LipschitzFn(ctx, table))
 
 
+@pytest.mark.parametrize("p,K", [(2, 7), (3, 4), (5, 3), (7, 2)])
+def test_ordered_scan_names_violations_planted_at_every_level(p, K):
+    # moving f(x) by a multiple of p**(level-1) keeps it mod p**(level-1) and
+    # changes it mod p**level, so the first violation is at that level; a
+    # second change one level up or more must not be the one named
+    ctx = PrimeContext(p, K)
+    rng = random.Random(p * 100 + K)
+    base = random_lipschitz(ctx, rng).table
+    for level in range(1, K):
+        for deeper in (None, *range(level + 1, K)):
+            table = list(base)
+            for L in (level, deeper):
+                if L is not None:
+                    x = rng.randrange(1, ctx.modulus)
+                    table[x] = (table[x] + rng.randrange(1, p) * p ** (L - 1)) % ctx.modulus
+            expected = naive_first_violation(ctx, table)
+            assert expected[2] == level
+            with pytest.raises(CompatibilityViolation) as err:
+                LipschitzFn.from_table(ctx, table)
+            assert (err.value.x, err.value.y, err.value.level) == expected
+
+
 def test_single_level_imposes_nothing():
     ctx = PrimeContext(3, 1)
     for perm in itertools.permutations(range(3)):
@@ -358,6 +380,20 @@ C32 = PrimeContext(3, 2)
         pytest.param(
             lambda: series_from_json({"p": 3, "K": 2, "B": [0] * 8}), "need 9 coefficients, got 8",
             id="series-json-length",
+        ),
+        # a provenance, where present, is a string
+        *(
+            pytest.param(
+                lambda value=value: fn_from_json(
+                    {"p": 3, "K": 2, "table": list(range(9)), "provenance": value}
+                ),
+                f"provenance = {value!r}, expected a string",
+                id=f"fn-json-provenance-{name}",
+            )
+            for name, value in [
+                ("int", 7), ("list", ["identity"]), ("object", {"a": 1}), ("bool", True),
+                ("null", None),
+            ]
         ),
         # both generators draw from rng.getrandbits, so the rng is named
         pytest.param(

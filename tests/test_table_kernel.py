@@ -17,6 +17,7 @@ import operator
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -278,15 +279,19 @@ def test_from_subfunctions_matches_per_argument_assembly(ctx):
 @given(st.data())
 def test_from_subfunctions_accepts_exactly_what_from_table_accepts(data):
     # any integer digit maps give a tower-compatible table, so only the
-    # shape (a level one map off p**k, a digit map one digit off p) and the
-    # range (digits -1 or >= p) can fail; a wrong shape is rejected even
-    # when the per-argument reference would read a table out of it
+    # shape (a level one map off p**k, a digit map one digit off p), the
+    # type (a float or a bool digit) and the range (digits -1 or >= p) can
+    # fail; a wrong shape is rejected even when the per-argument reference
+    # would read a table out of it
     p, K = data.draw(st.sampled_from([(2, 1), (2, 3), (3, 2), (5, 2)]), label="(p, K)")
     ctx = PrimeContext(p, K)
     low, high = data.draw(st.sampled_from([(0, p - 1), (-1, 2 * p)]), label="digit range")
     slack = data.draw(st.sampled_from([0, 1]), label="level length slack")
     map_slack = data.draw(st.sampled_from([0, 0, 1]), label="digit map length slack")
-    digit_map = st.lists(st.integers(low, high), min_size=p - map_slack, max_size=p + map_slack)
+    digit = st.integers(low, high)
+    if data.draw(st.booleans(), label="float and bool digits"):
+        digit |= st.integers(low, high).map(float) | st.booleans()
+    digit_map = st.lists(digit, min_size=p - map_slack, max_size=p + map_slack)
     subfunctions = [
         data.draw(
             st.lists(digit_map, min_size=p**k - slack, max_size=p**k + slack), label=f"level {k}"
@@ -294,8 +299,10 @@ def test_from_subfunctions_accepts_exactly_what_from_table_accepts(data):
         for k in range(K)
     ]
     expected = None
+    # from_table refuses a float or a bool entry; a bool digit would sum to
+    # an int, so it is refused by its type like a float one
     if all(
-        len(level) == p**k and all(len(phi) == p for phi in level)
+        len(level) == p**k and all(len(phi) == p and {*map(type, phi)} == {int} for phi in level)
         for k, level in enumerate(subfunctions)
     ):
         try:
@@ -322,6 +329,15 @@ def test_from_subfunctions_rejects_extra_levels_maps_and_digits():
     ):
         with pytest.raises(ValueError):
             LipschitzFn.from_subfunctions(ctx, bad)
+    # a float or a bool digit is refused by its level, even where it sums to
+    # an in-range value: (0, 1, 2.0) at (3, 2) gave the entries 2.0, 5.0, 8.0
+    for pk, bad, k in (
+        ((3, 2), [[(0, 1, 2.0)], [(0, 1, 2)] * 3], 0),
+        ((3, 2), [[(0, True, 2)], [(0, 1, 2)] * 3], 0),
+        ((2, 2), [[(0, 1)], [(0, 1), (False, 1)]], 1),
+    ):
+        with pytest.raises(ValueError, match=f"^level {k} holds a digit that is not an int$"):
+            LipschitzFn.from_subfunctions(PrimeContext(*pk), bad)
 
 
 def test_vdp_inverse_matches_ball_sums(ctx):
@@ -512,11 +528,51 @@ def criterion_tables(ctx, rng):
         yield LipschitzFn.from_subfunctions(ctx, levels)
 
 
+def planted_failures(ctx, rng):
+    """(first failing site, table) pairs: digit maps of one measure-preserving
+    table with a digit repeated at chosen sites.
+
+    Every level is hit at its first and its last prefix, with digit 1 set to
+    digit 0 (a sibling residue of 0 for the vdp criterion) and with the top
+    digit set to the one below it.  Then several sites fail together, so the
+    first by level, then by prefix, must be named.
+    """
+    p, K = ctx.p, ctx.precision
+    f = random_measure_preserving(ctx, rng)
+    levels = [coordinate_subfunctions(f, j) for j in range(K)]
+
+    def planted(*sites):
+        broken = [list(level) for level in levels]
+        for k, a, (i, j) in sites:
+            phi = list(broken[k][a])
+            phi[i] = phi[j]
+            broken[k][a] = tuple(phi)
+        return LipschitzFn.from_subfunctions(ctx, broken)
+
+    repeats = sorted({(1, 0), (p - 1, p - 2)})
+    for k in range(K):
+        for a in sorted({0, p**k - 1}):
+            for repeat in repeats:
+                yield (k, a), planted((k, a, repeat))
+    for k in range(1, K):
+        a, b = sorted(rng.sample(range(p**k), 2))
+        yield (k, a), planted((k, b, repeats[0]), (k, a, repeats[-1]))
+        yield (k, a), planted((k, p**k - 1, repeats[-1]), (k, a, repeats[0]), (k, b, repeats[0]))
+        lower = rng.randrange(k)
+        yield (lower, 0), planted((k, 0, repeats[0]), (lower, 0, repeats[-1]))
+
+
 def report_of(report):
     return report.ok, report.failure, report.detail
 
 
-def test_criteria_match_per_entry_references(ctx):
+# p = 2, 3, 5 and 7 take the digit bit-sums, 11 and 13 the per-prefix sets
+CRITERION_GRID = GRID + [(5, 3), (7, 3), (13, 2)]
+
+
+@pytest.mark.parametrize("pk", CRITERION_GRID, ids=lambda pk: f"p{pk[0]}K{pk[1]}")
+def test_criteria_match_per_entry_references(pk):
+    ctx = PrimeContext(*pk)
     rng = random.Random(ctx.p * 100 + ctx.precision + 6)
     for f in criterion_tables(ctx, rng):
         revalidated(f)
@@ -525,6 +581,33 @@ def test_criteria_match_per_entry_references(ctx):
         assert report_of(preserves_measure_coord(f)) == reference_coord_criterion(f)
         for k in range(1, ctx.precision + 1):
             assert is_bijective_mod(f, k) == reference_bijective(f, k), k
+    for site, f in planted_failures(ctx, rng):
+        vdp, coord = preserves_measure_vdp(f), preserves_measure_coord(f)
+        assert report_of(vdp) == reference_vdp_criterion(f), site
+        assert report_of(coord) == reference_coord_criterion(f), site
+        # a repeated digit at level 0 spoils the base coefficients, at (0, 0)
+        assert vdp.failure == coord.failure == site
+
+
+def test_criteria_keep_one_set_per_prefix_at_large_p():
+    # at p = 65521 the bits 1 << d of one level would take about 275 MiB, so
+    # both criteria must stay on the per-prefix sets there
+    ctx = PrimeContext(65521, 1)
+    swapped = list(range(ctx.modulus))
+    swapped[0], swapped[1] = 1, 0
+    repeated = list(range(ctx.modulus))
+    repeated[1] = 0
+    for table in (range(ctx.modulus), swapped, repeated):
+        f = LipschitzFn.from_table(ctx, table)
+        tracemalloc.start()
+        try:
+            reports = report_of(preserves_measure_vdp(f)), report_of(preserves_measure_coord(f))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reports == (reference_vdp_criterion(f), reference_coord_criterion(f))
+        assert reports[1][0] == (table is not repeated)
+        assert peak < 32 * 2**20, peak
 
 
 def test_vdp_transform_names_first_incompatible_coefficient(ctx):
