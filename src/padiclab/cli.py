@@ -10,6 +10,7 @@ budget exceeded; ``main`` alone prints a result and picks the code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -329,6 +330,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+# built once per process: parse_args leaves the parser as it was, and a
+# build takes some thirty times as long as a parse
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="padiclab",
@@ -395,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("report", help="aggregate enumeration results into a count table")
-    sp.add_argument("--in", dest="infiles", nargs="*", default=[], help="result JSON files")
+    sp.add_argument("--in", dest="infiles", nargs="*", default=(), help="result JSON files")
     add_common(sp)
     sp.set_defaults(func=cmd_report)
 

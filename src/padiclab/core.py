@@ -15,7 +15,6 @@ u**a depends only on a mod p**(K-1) and pow(u, a mod p**K, p**K) is exact.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import re
@@ -24,11 +23,12 @@ from dataclasses import dataclass
 MAX_PRECISION = 32
 
 # A digit-wise op at odd p reads c digits of both operands at once from a
-# table of P*P bytes, P = p**c the widest power with P*P within this cap:
-# P = 27, 25 and 49 at p = 3, 5 and 7.  From p = 11 on c would be 1, and the
-# digit loop runs instead.
-_CHUNK_TABLE_CAP = 4096
-_CHUNKED_BELOW = math.isqrt(math.isqrt(_CHUNK_TABLE_CAP)) + 1  # p**4 within the cap
+# bytes table of P*P entries, P = p**c.  An entry is a digit-wise result
+# below P and a byte holds values below 256, so P is the widest power within
+# 256 (P*P <= 2**16): P = 243, 125, 49, 121 and 169 at p = 3, 5, 7, 11 and 13
+# (c = 5, 3, 2, 2 and 2), 240,554 bytes for all ten tables.  From p = 17 on
+# p**2 > 256, c would be 1, and the digit loop runs instead.
+_CHUNKED_BELOW = math.isqrt(256) + 1  # p**2 within one byte
 # (P, table) per odd prime below _CHUNKED_BELOW, built on first use
 _SUM_CHUNKS: dict[int, tuple[int, bytes]] = {}
 _PRODUCT_CHUNKS: dict[int, tuple[int, bytes]] = {}
@@ -82,19 +82,22 @@ def _chunk_table(chunks: dict, p: int, digit_op) -> tuple[int, bytes]:
     The table over one digit is extended a digit at a time: for a = a_hi*Q
     + a_lo and b = b_hi*Q + b_lo with Q the width so far, the entry is the
     one-digit entry of (a_hi, b_hi) times Q plus the Q-wide entry of (a_lo,
-    b_lo).
+    b_lo).  So the new row of a is, for each b_hi, the old row of a_lo with
+    d*Q added to every byte, d the one-digit entry; ``bytes.translate`` adds
+    it through the table of i -> (i + d*Q) mod 256, exact since the sum stays
+    below the new width.
     """
     digit = [[digit_op(a, b) % p for b in range(p)] for a in range(p)]
-    rows, width = digit, p
-    while (width * p) ** 2 <= _CHUNK_TABLE_CAP:
-        high = [[d * width for d in row] for row in digit]
+    rows, width = [bytes(row) for row in digit], p
+    while width * p <= 256:  # every entry, below width * p, fits a byte
+        add = [bytes(range(d * width, 256)) + bytes(range(d * width)) for d in range(p)]
         rows = [
-            [h + low for h in high[a_hi] for low in rows[a_lo]]
+            b"".join(rows[a_lo].translate(add[d]) for d in digit[a_hi])
             for a_hi in range(p)
             for a_lo in range(width)
         ]
         width *= p
-    chunks[p] = width, bytes(itertools.chain.from_iterable(rows))
+    chunks[p] = width, b"".join(rows)
     return chunks[p]
 
 

@@ -902,6 +902,30 @@ def test_output_to_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["value"] == 8
 
 
+def test_parser_is_built_once_and_parses_alike():
+    assert cli._build_parser() is cli._build_parser()
+    calls = [
+        ["verify", "--p", "3", "--k", "2"],
+        ["verify", "--p", "7"],  # usage error: --k is missing
+        ["report"],
+        ["verify", "--p", "3", "--k", "2"],
+    ]
+
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    cached = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [2, 1, 0, 2]
+
+
 def test_console_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "padiclab.cli", "report"],

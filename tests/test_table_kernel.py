@@ -404,11 +404,12 @@ def test_normalized_divides_by_the_leading_place(ctx):
 # references
 # ---------------------------------------------------------------------------
 
-# K not a multiple of the chunk width c (3 at p = 3, 2 at p = 5 and 7), and
-# primes about the chunk table cap, where c would be 1 and the digit loop runs
+# K not a multiple of the chunk width c (5 at p = 3, 3 at p = 5, 2 at p = 7,
+# 11 and 13), and primes from 17 on, where p**2 > 256, c would be 1 and the
+# digit loop runs
 DIGIT_OP_CONTEXTS = [
     (2, 1), (2, 13), (2, 32), (3, 1), (3, 4), (3, 8), (3, 20), (5, 3), (5, 13),
-    (7, 5), (11, 3), (13, 2), (61, 2), (67, 2), (65521, 2),
+    (7, 5), (11, 3), (13, 2), (13, 3), (17, 3), (61, 2), (67, 2), (65521, 2),
 ]
 
 
@@ -432,7 +433,7 @@ def test_digit_wise_ops_match_per_digit_reference(data):
     assert ctx.and_values(x, y) == reference_digit_op(ctx, x, y, lambda a, b: a * b)
 
 
-@pytest.mark.parametrize("p,c", [(3, 3), (5, 2), (7, 2)])
+@pytest.mark.parametrize("p,c", [(3, 5), (5, 3), (7, 2), (11, 2), (13, 2)])
 @pytest.mark.parametrize("digit_op", [operator.add, operator.mul], ids=["sum", "product"])
 def test_chunk_tables_match_per_digit_reference(p, c, digit_op):
     ctx, width = PrimeContext(p, c), p**c
@@ -448,7 +449,7 @@ def test_chunk_tables_are_built_on_first_use_only():
         "from padiclab import core\n"
         "print(sorted(core._SUM_CHUNKS), sorted(core._PRODUCT_CHUNKS))\n"
         "core.PrimeContext(3, 4).xor_values(5, 7)\n"
-        "core.PrimeContext(11, 2).and_values(5, 7)\n"
+        "core.PrimeContext(17, 2).and_values(5, 7)\n"
         "print(sorted(core._SUM_CHUNKS), sorted(core._PRODUCT_CHUNKS))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
