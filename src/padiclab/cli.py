@@ -250,10 +250,8 @@ def cmd_verify(args):
 
     # the search imposes each operation's constraints as a conjunction, so
     # the automorphisms of a pair are exactly the maps in both single-op groups
-    pair_counts = {
-        f"{a}+{b}": len(set(groups[a].automorphisms) & set(groups[b].automorphisms))
-        for a, b in OPERATION_PAIRS
-    }
+    maps = {op: set(group.automorphisms) for op, group in groups.items()}
+    pair_counts = {f"{a}+{b}": len(maps[a] & maps[b]) for a, b in OPERATION_PAIRS}
     claim("trivial-pairs", all(count == 1 for count in pair_counts.values()), counts=pair_counts)
 
     equivalence = _criterion_equivalence_sample(ctx, seed)

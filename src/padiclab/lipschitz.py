@@ -180,8 +180,13 @@ class VdpSeries:
     coefficients: tuple[int, ...]
 
     def normalized(self, m: int) -> int:
-        """b_m as a residue (exact division by the guaranteed p-power)."""
-        p = self.ctx.p
+        """b_m as a residue (exact division by the guaranteed p-power).
+
+        Raises ValueError when m is not an int in [0, p**K).
+        """
+        p, modulus = self.ctx.p, self.ctx.modulus
+        if type(m) is not int or not 0 <= m < modulus:  # bools are not indices
+            raise ValueError(f"coefficient index {m!r}, expected an int in [0, {modulus})")
         shift = 1
         while shift * p <= m:
             shift *= p
@@ -264,6 +269,10 @@ class CriterionReport:
         return self.ok
 
 
+# the passing report, shared by both criteria: it is frozen
+_CRITERION_OK = CriterionReport(ok=True)
+
+
 def _first_short_sum(bits: list[int], block: int, full: int) -> int | None:
     """The first m < block whose stride-block group bits[m::block] does not sum to full.
 
@@ -290,32 +299,51 @@ def preserves_measure_vdp(f: LipschitzFn) -> CriterionReport:
     coefficients over the sibling balls {m + i*p**k : i = 1..p-1} must hit
     every nonzero residue mod p: by digit bit-sums at p <= _BIT_SUM_MAX_P, by
     one set per base point above.
+
+    The coefficients are read off the table one digit place at a time, with
+    no series built: B_x = f(x) - f(rest) for x in [p**k, p**(k+1)) and
+    rest = x mod p**k.  After the first failing level only their
+    divisibility by p**k is tested, so a table that is not tower compatible
+    raises vdp_transform's ValueError whatever the criterion says.
     """
     ctx = f.ctx
-    p = ctx.p
-    coeffs = vdp_transform(f).coefficients
-    if {b % p for b in coeffs[:p]} != set(range(p)):
-        return CriterionReport(
+    p, table = ctx.p, f.table
+    report = _CRITERION_OK
+    if {v % p for v in table[:p]} != set(range(p)):
+        report = CriterionReport(
             ok=False, failure=(0, 0), detail="base coefficients not a complete residue system"
         )
     nonzero, full = set(range(1, p)), (1 << p) - 2
     for k in range(1, ctx.precision):
         block = p**k
-        # b_x = B_x / p**k mod p for x in [p**k, p**(k+1)); the siblings of m
-        # are x = m + i*p**k, i = 1..p-1, a stride-p**k slice
-        siblings = coeffs[block : block * p]
+        # x runs over [p**k, p**(k+1)) and rest = x mod p**k cycles p - 1
+        # times; the siblings of m are x = m + i*p**k, a stride-p**k slice
+        pairs = zip(table[block : block * p], table[:block] * (p - 1))
+        if not report.ok:
+            if any((fx - frest) % block for fx, frest in pairs):
+                vdp_transform(f)  # raises, naming the first coefficient not divisible
+            continue
+        # b_x = B_x / p**k mod p, as the bit 1 << b_x at p <= _BIT_SUM_MAX_P;
+        # where B_x is not divisible it is 0, never a bit, or -1, never a residue
         if p <= _BIT_SUM_MAX_P:
-            m = _first_short_sum([1 << (b // block % p) for b in siblings], block, full)
+            bits = [
+                0 if (d := fx - frest) % block else 1 << (d // block % p) for fx, frest in pairs
+            ]
+            if 0 in bits:
+                vdp_transform(f)
+            m = _first_short_sum(bits, block, full)
         else:
-            residues = [b // block % p for b in siblings]
+            residues = [-1 if (d := fx - frest) % block else d // block % p for fx, frest in pairs]
+            if -1 in residues:
+                vdp_transform(f)
             m = next((m for m in range(block) if set(residues[m::block]) != nonzero), None)
         if m is not None:
-            return CriterionReport(
+            report = CriterionReport(
                 ok=False,
                 failure=(k, m),
                 detail=f"sibling coefficients of {m} at level {k} miss a nonzero residue",
             )
-    return CriterionReport(ok=True)
+    return report
 
 
 def coordinate_subfunctions(f: LipschitzFn, k: int) -> list[tuple[int, ...]]:
@@ -352,7 +380,7 @@ def preserves_measure_coord(f: LipschitzFn) -> CriterionReport:
                 failure=(k, a),
                 detail=f"sub-function at level {k}, prefix {a} is not a permutation",
             )
-    return CriterionReport(ok=True)
+    return _CRITERION_OK
 
 
 def is_bijective_mod(f: LipschitzFn, k: int) -> bool:

@@ -27,6 +27,7 @@ effects that would betray them live above the precision window.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -150,10 +151,10 @@ def enumerate_automorphisms(
         tables = []
         for op in operations:
             flat = [op.apply(level_ctx, x, y) for x in range(n) for y in range(n)]
-            transpose = [flat[y * n + x] for x in range(n) for y in range(n)]
             tables.append(flat)
-            if transpose != flat:
-                tables.append(transpose)
+            # commutative iff every row x equals column x, the stride-n slice
+            if any(flat[x * n : (x + 1) * n] != flat[x::n] for x in range(n)):
+                tables.append(list(itertools.chain.from_iterable(flat[x::n] for x in range(n))))
         level_tables.append(tables)
 
     nodes = 0

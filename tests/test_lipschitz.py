@@ -377,6 +377,16 @@ C32 = PrimeContext(3, 2)
             lambda: vdp_inverse(VdpSeries(C32, (0,) * 8)), "need 9 coefficients, got 8",
             id="vdp-inverse-length",
         ),
+        # an index that is not an int in [0, 9) is refused before the lookup,
+        # which would read -1 and True as other coefficients
+        *(
+            pytest.param(
+                lambda m=m: vdp_transform(identity(C32)).normalized(m),
+                f"coefficient index {m!r}, expected an int in [0, 9)",
+                id=f"normalized-{name}",
+            )
+            for name, m in [("negative", -1), ("bool", True), ("past-end", 9), ("float", 1.0)]
+        ),
         pytest.param(
             lambda: series_from_json({"p": 3, "K": 2, "B": [0] * 8}), "need 9 coefficients, got 8",
             id="series-json-length",
