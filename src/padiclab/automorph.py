@@ -359,6 +359,8 @@ def realize(spec: AutSpec) -> LipschitzFn:
 
     Every family is tower compatible by construction, so no tower pass runs.
     """
+    if not isinstance(spec, AutSpec):
+        raise TypeError(f"not an automorphism spec: {spec!r}")
     ctx = spec.ctx
     _check_table_size(ctx)
     if isinstance(spec, AddSpec):
@@ -371,7 +373,6 @@ def realize(spec: AutSpec) -> LipschitzFn:
         family, params = ("xor", spec.alpha) if isinstance(spec, XorSpec) else ("and", spec.exponents)
         (table,) = _digit_tables(ctx.p, [[param] for param in params])
         return LipschitzFn(ctx, table, provenance=family)
-    raise TypeError(f"not an automorphism spec: {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -398,18 +399,20 @@ def _digit_levels(ctx: PrimeContext, family: str) -> list[list]:
 
 
 def family_specs(ctx: PrimeContext, family: str):
-    """Yield every family member with parameters ranging over residues mod p**k."""
+    """Iterate every family member with parameters ranging over residues mod p**k.
+
+    Not a generator function, so an unknown family is refused at the call.
+    """
     if family == "add":
-        yield from (AddSpec(ctx.integer(A)) for A in ctx.units())
-    elif family == "mul":
+        return (AddSpec(ctx.integer(A)) for A in ctx.units())
+    if family == "mul":
         units = list(ctx.units())
         choices = itertools.product(_coprime_exponents(ctx.p), units, units)
-        yield from (MulSpec(s, ctx.integer(a), ctx.integer(A)) for s, a, A in choices)
-    elif family in ("xor", "and"):
+        return (MulSpec(s, ctx.integer(a), ctx.integer(A)) for s, a, A in choices)
+    if family in ("xor", "and"):
         make = XorSpec if family == "xor" else AndSpec
-        yield from (make(ctx, params) for params in itertools.product(*_digit_levels(ctx, family)))
-    else:
-        raise ValueError(f"unknown family {family!r}")
+        return (make(ctx, params) for params in itertools.product(*_digit_levels(ctx, family)))
+    raise ValueError(f"unknown family {family!r}")
 
 
 def family_size(ctx: PrimeContext, family: str) -> int:

@@ -101,6 +101,42 @@ def _chunk_table(chunks: dict, p: int, digit_op) -> tuple[int, bytes]:
     return chunks[p]
 
 
+def _digitwise(bitwise, digit_op, chunks: dict):
+    """The ``PrimeContext`` method applying ``digit_op`` mod p digit by digit.
+
+    At p = 2 it is ``bitwise`` on the residues; at odd p below
+    ``_CHUNKED_BELOW`` it reads a chunk of digits per lookup from the table
+    ``_chunk_table`` keeps in ``chunks``; from p = 17 on it runs one digit at
+    a time.  The three branches sit in the one closure, not in helpers,
+    since a helper would cost a frame per op.
+    """
+
+    def values(self, x: int, y: int) -> int:
+        p = self.p
+        if p == 2:
+            return bitwise(x, y)
+        if p < _CHUNKED_BELOW:
+            width, table = chunks.get(p) or _chunk_table(chunks, p, digit_op)
+            out = 0
+            scale = 1
+            while x > 0 or y > 0:
+                out += table[x % width * width + y % width] * scale
+                x //= width
+                y //= width
+                scale *= width
+            return out
+        out = 0
+        scale = 1
+        for _ in range(self.precision):
+            out += digit_op(x % p, y % p) % p * scale
+            x //= p
+            y //= p
+            scale *= p
+        return out
+
+    return values
+
+
 class PrimeContext:
     """Shared setting (p, K): base prime and number of stored digits.
 
@@ -158,53 +194,11 @@ class PrimeContext:
             value += d * self.p**i
         return value
 
-    def xor_values(self, x: int, y: int) -> int:
-        """Digit-wise addition mod p of two residues in [0, p**K) (no carries)."""
-        p = self.p
-        if p == 2:  # the base-2 digits are the bits: digit sum mod 2 is XOR
-            return x ^ y
-        if p < _CHUNKED_BELOW:  # written out here and in and_values: a helper costs a frame per op
-            width, table = _SUM_CHUNKS.get(p) or _chunk_table(_SUM_CHUNKS, p, operator.add)
-            out = 0
-            scale = 1
-            while x > 0 or y > 0:
-                out += table[x % width * width + y % width] * scale
-                x //= width
-                y //= width
-                scale *= width
-            return out
-        out = 0
-        scale = 1
-        for _ in range(self.precision):
-            out += ((x + y) % p) * scale
-            x //= p
-            y //= p
-            scale *= p
-        return out
-
-    def and_values(self, x: int, y: int) -> int:
-        """Digit-wise multiplication mod p of two residues in [0, p**K) (no carries)."""
-        p = self.p
-        if p == 2:  # the base-2 digits are the bits: digit product is AND
-            return x & y
-        if p < _CHUNKED_BELOW:
-            width, table = _PRODUCT_CHUNKS.get(p) or _chunk_table(_PRODUCT_CHUNKS, p, operator.mul)
-            out = 0
-            scale = 1
-            while x > 0 or y > 0:
-                out += table[x % width * width + y % width] * scale
-                x //= width
-                y //= width
-                scale *= width
-            return out
-        out = 0
-        scale = 1
-        for _ in range(self.precision):
-            out += ((x % p) * (y % p)) % p * scale
-            x //= p
-            y //= p
-            scale *= p
-        return out
+    # the base-2 digits are the bits: digit sum mod 2 is XOR, digit product AND
+    xor_values = _digitwise(operator.xor, operator.add, _SUM_CHUNKS)
+    xor_values.__doc__ = "Digit-wise addition mod p of two residues in [0, p**K) (no carries)."
+    and_values = _digitwise(operator.and_, operator.mul, _PRODUCT_CHUNKS)
+    and_values.__doc__ = "Digit-wise multiplication mod p of two residues in [0, p**K) (no carries)."
 
     def valuation_of(self, value: int) -> int | float:
         """Index of the lowest nonzero digit; math.inf for 0 (zero to precision)."""
@@ -451,11 +445,6 @@ def _fraction_mod(num: int, den: int, p: int, modulus: int) -> int:
     return num * pow(den, -1, modulus) % modulus
 
 
-def _min_exp_valuation(ctx: PrimeContext) -> int:
-    # convergence domain of the exponential series: v >= 1 (p odd), v >= 2 (p = 2)
-    return 2 if ctx.p == 2 else 1
-
-
 def exp_p(t: PadicInt) -> PadicInt:
     """Exponential series sum t**n / n!, exact modulo p**K on its domain.
 
@@ -465,7 +454,8 @@ def exp_p(t: PadicInt) -> PadicInt:
     so every omitted term vanishes modulo p**K.
     """
     ctx = t.ctx
-    vmin = _min_exp_valuation(ctx)
+    # convergence domain of the exponential series: v >= 1 (p odd), v >= 2 (p = 2)
+    vmin = 2 if ctx.p == 2 else 1
     v = t.valuation()
     if v < vmin:
         raise ValueError(f"exp needs valuation >= {vmin} for p={ctx.p}, got {v}")

@@ -155,6 +155,15 @@ def test_and_realize_digit_powers():
     assert is_homomorphism(f, AND).ok
 
 
+# a plain int has no ctx, a realized table has one: both are refused by type
+@pytest.mark.parametrize(
+    "spec", [5, LipschitzFn.from_table(PrimeContext(3, 1), [0, 2, 1])], ids=["int", "LipschitzFn"]
+)
+def test_realize_refuses_a_non_spec(spec):
+    with pytest.raises(TypeError, match="not an automorphism spec"):
+        realize(spec)
+
+
 def test_each_family_is_automorphism_for_its_operation():
     c = PrimeContext(3, 2)
     assert is_automorphism(realize(AddSpec(c.integer(2))), [PLUS])

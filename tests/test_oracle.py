@@ -397,6 +397,10 @@ C32 = PrimeContext(3, 2)
         pytest.param(
             lambda: family_size(PrimeContext(3, 2), "nand"), "unknown family 'nand'", id="family-size"
         ),
+        # refused at the call, not at the first next()
+        pytest.param(
+            lambda: family_specs(PrimeContext(3, 2), "nand"), "unknown family 'nand'", id="family-specs"
+        ),
         pytest.param(
             lambda: compare_with_family(enumerate_automorphisms(PrimeContext(3, 2), ["plus", "xor"])),
             "family can only be inferred for single-operation results",
