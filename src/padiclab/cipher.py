@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import PrimeContext, _is_small_prime, mapping_field, sequence_field
-from .lipschitz import LipschitzFn, _check_table_size
+from .lipschitz import LipschitzFn, _assemble, _check_table_size
 from .automorph import Operation, operation_by_name
 
 
@@ -238,8 +238,9 @@ def model_fn(key: CipherKey, ctx: PrimeContext) -> LipschitzFn:
 
     Position-wise action makes it tower compatible, and permutations per
     symbol make it invertible.  The symbol map at position k is the digit
-    map at level k for every prefix, so the table is assembled by
-    from_subfunctions in O(p**K), which checks only its shape and range.
+    map at level k for every prefix, so the table is assembled from flat
+    levels in O(p**K), as the random generators do; the key was checked
+    when it was built, so its symbols need no second check.
     """
     _check_table_size(ctx)
     if key.p != ctx.p:
@@ -247,10 +248,8 @@ def model_fn(key: CipherKey, ctx: PrimeContext) -> LipschitzFn:
     if not key.covers(ctx.precision):
         raise ValueError(f"key does not cover {ctx.precision} positions")
     p = ctx.p
-    subfunctions = [
-        [tuple(key.symbol(k, s) for s in range(p))] * p**k for k in range(ctx.precision)
-    ]
-    return LipschitzFn.from_subfunctions(ctx, subfunctions, provenance=f"cipher:{key.kind}")
+    levels = ([key.symbol(k, s) for s in range(p)] * p**k for k in range(ctx.precision))
+    return LipschitzFn(ctx, _assemble(p, levels), provenance=f"cipher:{key.kind}")
 
 
 # ---------------------------------------------------------------------------

@@ -338,77 +338,58 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_context(sp, precision):
-        sp.add_argument("--p", type=int, required=True)
-        sp.add_argument(precision, type=int, required=True)
+    def command(name, func, help, precision=None):
+        """The subparser for one subcommand, with --p and precision ("--K" or "--k") if given."""
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(func=func)
+        if precision:
+            sp.add_argument("--p", type=int, required=True)
+            sp.add_argument(precision, type=int, required=True)
+        return sp
 
-    def add_common(sp):
-        sp.add_argument("--pretty", action="store_true", help="human-readable output")
-        sp.add_argument("--out", help="write output to this path instead of stdout")
-
-    sp = sub.add_parser("eval", help="evaluate a function or family spec at a point")
-    add_context(sp, "--K")
+    sp = command("eval", cmd_eval, "evaluate a function or family spec at a point", "--K")
     sp.add_argument("--spec", required=True, help="JSON (or @file): family or table")
     sp.add_argument("--x", type=int, required=True)
-    add_common(sp)
-    sp.set_defaults(func=cmd_eval)
 
-    sp = sub.add_parser("vdp", help="ball-coefficient transform of a table, or its inverse")
+    sp = command("vdp", cmd_vdp, "ball-coefficient transform of a table, or its inverse")
     sp.add_argument("--in", dest="infile", required=True, help="JSON (or @file)")
     sp.add_argument("--inverse", action="store_true")
-    add_common(sp)
-    sp.set_defaults(func=cmd_vdp)
 
-    sp = sub.add_parser("check", help="tower compatibility and invertibility criteria")
+    sp = command("check", cmd_check, "tower compatibility and invertibility criteria")
     sp.add_argument("--in", dest="infile", required=True, help="JSON (or @file)")
-    add_common(sp)
-    sp.set_defaults(func=cmd_check)
 
-    sp = sub.add_parser("make-aut", help="realize a family spec as a value table")
-    add_context(sp, "--K")
+    sp = command("make-aut", cmd_make_aut, "realize a family spec as a value table", "--K")
     sp.add_argument("--spec", required=True, help="JSON (or @file)")
-    add_common(sp)
-    sp.set_defaults(func=cmd_make_aut)
 
-    sp = sub.add_parser("check-hom", help="homomorphism check against operations")
+    sp = command("check-hom", cmd_check_hom, "homomorphism check against operations")
     sp.add_argument("--in", dest="infile", required=True, help="JSON (or @file)")
     sp.add_argument("--ops", required=True, help="comma list: plus,times,xor,and")
     sp.add_argument("--seed", type=int, default=0)
-    add_common(sp)
-    sp.set_defaults(func=cmd_check_hom)
 
-    sp = sub.add_parser("analyze-g", help="scalings commuting with a custom series operation")
-    add_context(sp, "--K")
+    sp = command("analyze-g", cmd_analyze_g, "scalings commuting with a custom series operation", "--K")
     sp.add_argument("--g", required=True, help="JSON (or @file): c, a, b, terms")
-    add_common(sp)
-    sp.set_defaults(func=cmd_analyze_g)
 
-    sp = sub.add_parser("enumerate", help="exhaustively enumerate quotient automorphisms")
-    add_context(sp, "--k")
+    sp = command("enumerate", cmd_enumerate, "exhaustively enumerate quotient automorphisms", "--k")
     sp.add_argument("--ops", required=True, help="comma list: plus,times,xor,and")
     sp.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
-    add_common(sp)
-    sp.set_defaults(func=cmd_enumerate)
 
-    sp = sub.add_parser("verify", help="run the desk-scale claim suite")
-    add_context(sp, "--k")
+    sp = command("verify", cmd_verify, "run the desk-scale claim suite", "--k")
     sp.add_argument("--seed", type=int, default=0)
-    add_common(sp)
-    sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("report", help="aggregate enumeration results into a count table")
+    sp = command("report", cmd_report, "aggregate enumeration results into a count table")
     sp.add_argument("--in", dest="infiles", nargs="*", default=(), help="result JSON files")
-    add_common(sp)
-    sp.set_defaults(func=cmd_report)
 
-    sp = sub.add_parser("cipher", help="encrypt/decrypt words, or run the homomorphic demo")
+    sp = command("cipher", cmd_cipher, "encrypt/decrypt words, or run the homomorphic demo")
     sp.add_argument("action", choices=["encrypt", "decrypt", "demo"])
     sp.add_argument("--key", required=True, help="JSON (or @file)")
     sp.add_argument("--word", help="JSON (or @file), for encrypt/decrypt")
     sp.add_argument("--formula", help="JSON (or @file), for demo")
     sp.add_argument("--data", help="JSON array of words (or @file), for demo")
-    add_common(sp)
-    sp.set_defaults(func=cmd_cipher)
+
+    # the output options come last in every subcommand's usage line
+    for sp in sub.choices.values():
+        sp.add_argument("--pretty", action="store_true", help="human-readable output")
+        sp.add_argument("--out", help="write output to this path instead of stdout")
 
     return parser
 

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from operator import add, ne
 
-from .core import PrimeContext, _uniform_draws, mapping_field, sequence_field
+from .core import ContextMismatch, PrimeContext, _uniform_draws, mapping_field, sequence_field
 
 # value tables are materialized in full; anything larger is out of scope
 MAX_TABLE_SIZE = 2**24
@@ -157,7 +157,7 @@ class LipschitzFn:
 def compose(f: LipschitzFn, g: LipschitzFn) -> LipschitzFn:
     """x -> f(g(x)); compositions of tower-compatible maps stay compatible."""
     if f.ctx != g.ctx:
-        raise ValueError(f"context mismatch: {f.ctx} vs {g.ctx}")
+        raise ContextMismatch(f"context mismatch: {f.ctx} vs {g.ctx}")
     return LipschitzFn(f.ctx, (f.table[v] for v in g.table), provenance="compose")
 
 

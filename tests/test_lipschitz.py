@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from padiclab import (
     CompatibilityViolation,
+    ContextMismatch,
     LipschitzFn,
     PrimeContext,
     VdpSeries,
@@ -429,6 +430,8 @@ def test_refusals_name_their_cause(make, message):
     with pytest.raises(ValueError) as info:
         make()
     assert str(info.value) == message
+    # a refusal to mix two contexts is a ContextMismatch, as in core and automorph
+    assert isinstance(info.value, ContextMismatch) == message.startswith("context mismatch")
 
 
 # address-space cap for children that must refuse before allocating

@@ -1,6 +1,7 @@
 """Tests for the exhaustive enumeration oracle and family comparisons."""
 
 import itertools
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from padiclab import (
     family_specs,
     family_tables,
     operation_by_name,
+    random_measure_preserving,
     realize,
     verify_trivial_pairs,
 )
@@ -282,6 +284,63 @@ def test_coset_search_counts_at_full_reach(p, k, times):
     ctx = PrimeContext(p, k)
     assert enumerate_automorphisms(ctx, ["xor"]).count == family_size(ctx, "xor")
     assert enumerate_automorphisms(ctx, ["times"]).count == times
+
+
+def conjugate(op, sigma):
+    """op^sigma(x, y) = sigma(sigma**-1(x) op sigma**-1(y)) at every level.
+
+    sigma is a tower-compatible bijection, so sigma mod p**j is read off its
+    first p**j values; each level's map and inverse are built once.
+    """
+    levels = {}
+
+    def apply(ctx, x, y):
+        n = ctx.modulus
+        if n not in levels:
+            forward = [v % n for v in sigma[:n]]
+            levels[n] = forward, sorted(range(n), key=forward.__getitem__)
+        forward, inverse = levels[n]
+        return forward[op.apply(ctx, inverse[x], inverse[y])]
+
+    return Operation(f"{op.name}^sigma", apply)
+
+
+# the seeds of the conjugating maps per context; at p = 2 seed 0 fixes both
+# digits of level 0 and seed 1 swaps them
+CONJUGATORS = {
+    (2, 3): (0, 1), (3, 2): (0, 1), (5, 2): (0, 1), (2, 5): (0, 1), (3, 3): (0, 1),
+    (7, 2): (0, 1), (3, 4): (0,), (5, 3): (0,),
+}
+
+
+def conjugator(p, k, seed):
+    return random_measure_preserving(PrimeContext(p, k), random.Random(seed)).table
+
+
+@pytest.mark.parametrize(
+    "ops", [["plus"], ["xor"], ["and"], ["times"], ["plus", "xor"], ["times", "xor"]], ids="+".join
+)
+@pytest.mark.parametrize(
+    "p,k,seed", [(p, k, seed) for (p, k), seeds in CONJUGATORS.items() for seed in seeds]
+)
+def test_conjugated_ops_have_the_conjugated_group(p, k, seed, ops):
+    # Aut(op^sigma) = sigma o Aut(op) o sigma**-1: a check wherever the
+    # oracle runs, on ops that are not built-ins, whose searches take other paths
+    ctx = PrimeContext(p, k)
+    sigma = conjugator(p, k, seed)
+    inverse = sorted(range(ctx.modulus), key=sigma.__getitem__)
+    conjugated = enumerate_automorphisms(ctx, [conjugate(operation_by_name(op), sigma) for op in ops])
+    expected = sorted(
+        tuple(sigma[h[y]] for y in inverse) for h in enumerate_automorphisms(ctx, ops).automorphisms
+    )
+    assert list(conjugated.automorphisms) == expected
+
+
+@pytest.mark.parametrize("p,k", list(CONJUGATORS))
+def test_some_conjugator_moves_a_digit_of_level_0(p, k):
+    assert any(
+        [v % p for v in conjugator(p, k, seed)[:p]] != list(range(p)) for seed in CONJUGATORS[p, k]
+    )
 
 
 # value assignments per single-op search at the five contexts of the bench's
