@@ -365,14 +365,15 @@ def realize(spec: AutSpec) -> LipschitzFn:
     _check_table_size(ctx)
     if isinstance(spec, AddSpec):
         table = [spec.A.value * x % ctx.modulus for x in range(ctx.modulus)]
-        return LipschitzFn(ctx, table, provenance=f"add(A={spec.A.value})")
+        return LipschitzFn._trusted(ctx, table, provenance=f"add(A={spec.A.value})")
     if isinstance(spec, MulSpec):
         s, a, A = spec.s, spec.a.value, spec.A.value
-        return LipschitzFn(ctx, _mul_table(ctx, s, a, A), provenance=f"mul(s={s},a={a},A={A})")
+        table = _mul_table(ctx, s, a, A)
+        return LipschitzFn._trusted(ctx, table, provenance=f"mul(s={s},a={a},A={A})")
     if isinstance(spec, XorSpec | AndSpec):
         family, params = ("xor", spec.alpha) if isinstance(spec, XorSpec) else ("and", spec.exponents)
         (table,) = _digit_tables(ctx.p, [[param] for param in params])
-        return LipschitzFn(ctx, table, provenance=family)
+        return LipschitzFn._trusted(ctx, table, provenance=family)
 
 
 # ---------------------------------------------------------------------------

@@ -63,31 +63,24 @@ def _assemble(p: int, levels) -> list[int]:
 
 
 class LipschitzFn:
-    """A tower-compatible self-map of Z/p**K, stored as a value table."""
+    """A tower-compatible self-map of Z/p**K, stored as a value table.
+
+    The constructor validates the table, so every instance is tower
+    compatible: its size within MAX_TABLE_SIZE (checked before the table
+    is read), its length p**K, its entries ints in [0, p**K), and then
+    compatibility at every level.  That holds iff f(x) = f(rest) mod p**n
+    for each x in [p**n, p**(n+1)) and rest = x mod p**n (by induction on
+    x, since rest < x agrees with x mod p**n), so one O(p**K) pass over the
+    digit places, each place's arguments against their rests table[:p**n],
+    decides it.  Only when that pass fails does the O(K p**K) scan, each
+    level's residues against its first block repeated: the first violation
+    by level, then by argument, is raised as CompatibilityViolation naming
+    the canonical representative, the argument and the level.
+    """
 
     __slots__ = ("ctx", "table", "provenance")
 
     def __init__(self, ctx: PrimeContext, table, provenance: str | None = None):
-        self.ctx = ctx
-        self.table = tuple(table)
-        self.provenance = provenance
-
-    @classmethod
-    def from_table(
-        cls, ctx: PrimeContext, table, provenance: str | None = None
-    ) -> "LipschitzFn":
-        """Validate digit ranges and tower compatibility, then wrap the table.
-
-        Compatibility at every level holds iff f(x) = f(rest) mod p**n for
-        each x in [p**n, p**(n+1)) and rest = x mod p**n (by induction on x,
-        since rest < x agrees with x mod p**n), so one O(p**K) pass over the
-        digit places, each place's arguments against their rests
-        table[:p**n], decides it.  Only when that pass fails does the
-        O(K p**K) scan, each level's residues against its first block
-        repeated: the first violation by level, then by argument, is raised
-        as CompatibilityViolation naming the canonical representative, the
-        argument and the level.
-        """
         _check_table_size(ctx)
         table = tuple(table)
         if len(table) != ctx.modulus:
@@ -108,6 +101,22 @@ class LipschitzFn:
                 if residues != reps:
                     x = list(map(ne, residues, reps)).index(True)
                     raise CompatibilityViolation(x % block, x, level)
+        self.ctx = ctx
+        self.table = table
+        self.provenance = provenance
+
+    @classmethod
+    def _trusted(cls, ctx: PrimeContext, table, provenance: str | None = None) -> "LipschitzFn":
+        """Wrap a table that is tower compatible by construction, with no checks."""
+        f = object.__new__(cls)
+        f.ctx, f.table, f.provenance = ctx, tuple(table), provenance
+        return f
+
+    @classmethod
+    def from_table(
+        cls, ctx: PrimeContext, table, provenance: str | None = None
+    ) -> "LipschitzFn":
+        """Validate the table as the constructor does, then wrap it."""
         return cls(ctx, table, provenance)
 
     @classmethod
@@ -136,7 +145,7 @@ class LipschitzFn:
         table = _assemble(p, levels)
         if not (0 <= min(table) and max(table) < ctx.modulus):
             raise ValueError(f"digit maps give values outside [0, {ctx.modulus})")
-        return cls(ctx, table, provenance)
+        return cls._trusted(ctx, table, provenance)
 
     def __call__(self, x: int) -> int:
         return self.table[x % self.ctx.modulus]
@@ -158,7 +167,7 @@ def compose(f: LipschitzFn, g: LipschitzFn) -> LipschitzFn:
     """x -> f(g(x)); compositions of tower-compatible maps stay compatible."""
     if f.ctx != g.ctx:
         raise ContextMismatch(f"context mismatch: {f.ctx} vs {g.ctx}")
-    return LipschitzFn(f.ctx, (f.table[v] for v in g.table), provenance="compose")
+    return LipschitzFn._trusted(f.ctx, (f.table[v] for v in g.table), provenance="compose")
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +183,16 @@ class VdpSeries:
     between the ball of m and the ball with the leading digit of m removed
     otherwise.  For a tower-compatible source p**(digits(m)-1) divides B_m,
     so the normalized coefficient b_m = B_m / p**(digits(m)-1) is integral.
+    A series holds exactly p**K coefficients; any other count raises
+    ValueError when it is built.
     """
 
     ctx: PrimeContext
     coefficients: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.coefficients) != self.ctx.modulus:
+            raise ValueError(f"need {self.ctx.modulus} coefficients, got {len(self.coefficients)}")
 
     def normalized(self, m: int) -> int:
         """b_m as a residue (exact division by the guaranteed p-power).
@@ -207,10 +222,9 @@ def vdp_transform(f: LipschitzFn) -> VdpSeries:
     """Coefficients B_m of f over the ball basis, exact mod p**K.
 
     One O(p**K) pass: B_x = f(x) for x < p and B_x = f(x) - f(rest) for
-    x in [p**n, p**(n+1)) and rest = x mod p**n, one place n at a time,
-    each place's coefficients checked together for divisibility
-    by p**n.  A source that is not tower compatible fails that check,
-    raising ValueError at the first such x.
+    x in [p**n, p**(n+1)) and rest = x mod p**n, one place n at a time.
+    Every LipschitzFn is tower compatible, so p**n divides each B_x of place
+    n and nothing is checked here.
     """
     ctx = f.ctx
     table, modulus, p = f.table, ctx.modulus, ctx.p
@@ -219,11 +233,7 @@ def vdp_transform(f: LipschitzFn) -> VdpSeries:
         block = p**n
         # x runs over [p**n, p**(n+1)) and rest = x mod p**n cycles p - 1 times
         rests = table[:block] * (p - 1)
-        level = [(fx - frest) % modulus for fx, frest in zip(table[block : block * p], rests)]
-        if any(b % block for b in level):
-            i = next(i for i, b in enumerate(level) if b % block)
-            raise ValueError(f"coefficient {block + i} not divisible by {block}")
-        coeffs += level
+        coeffs += [(fx - frest) % modulus for fx, frest in zip(table[block : block * p], rests)]
     return VdpSeries(ctx, tuple(coeffs))
 
 
@@ -241,10 +251,7 @@ def vdp_inverse(series: VdpSeries) -> LipschitzFn:
     through from_table.
     """
     ctx = series.ctx
-    coeffs, modulus = series.coefficients, ctx.modulus
-    if len(coeffs) != modulus:
-        raise ValueError(f"need {modulus} coefficients, got {len(coeffs)}")
-    p = ctx.p
+    coeffs, modulus, p = series.coefficients, ctx.modulus, ctx.p
     table = [b % modulus for b in coeffs[:p]]
     for n in range(1, ctx.precision):
         block = p**n
@@ -302,15 +309,13 @@ def preserves_measure_vdp(f: LipschitzFn) -> CriterionReport:
 
     The coefficients are read off the table one digit place at a time, with
     no series built: B_x = f(x) - f(rest) for x in [p**k, p**(k+1)) and
-    rest = x mod p**k.  After the first failing level only their
-    divisibility by p**k is tested, so a table that is not tower compatible
-    raises vdp_transform's ValueError whatever the criterion says.
+    rest = x mod p**k, which p**k divides since every LipschitzFn is tower
+    compatible.  The first failing level decides, and no later one is read.
     """
     ctx = f.ctx
     p, table = ctx.p, f.table
-    report = _CRITERION_OK
     if {v % p for v in table[:p]} != set(range(p)):
-        report = CriterionReport(
+        return CriterionReport(
             ok=False, failure=(0, 0), detail="base coefficients not a complete residue system"
         )
     nonzero, full = set(range(1, p)), (1 << p) - 2
@@ -319,31 +324,20 @@ def preserves_measure_vdp(f: LipschitzFn) -> CriterionReport:
         # x runs over [p**k, p**(k+1)) and rest = x mod p**k cycles p - 1
         # times; the siblings of m are x = m + i*p**k, a stride-p**k slice
         pairs = zip(table[block : block * p], table[:block] * (p - 1))
-        if not report.ok:
-            if any((fx - frest) % block for fx, frest in pairs):
-                vdp_transform(f)  # raises, naming the first coefficient not divisible
-            continue
-        # b_x = B_x / p**k mod p, as the bit 1 << b_x at p <= _BIT_SUM_MAX_P;
-        # where B_x is not divisible it is 0, never a bit, or -1, never a residue
+        # b_x = B_x / p**k mod p, as the bit 1 << b_x at p <= _BIT_SUM_MAX_P
         if p <= _BIT_SUM_MAX_P:
-            bits = [
-                0 if (d := fx - frest) % block else 1 << (d // block % p) for fx, frest in pairs
-            ]
-            if 0 in bits:
-                vdp_transform(f)
+            bits = [1 << ((fx - frest) // block % p) for fx, frest in pairs]
             m = _first_short_sum(bits, block, full)
         else:
-            residues = [-1 if (d := fx - frest) % block else d // block % p for fx, frest in pairs]
-            if -1 in residues:
-                vdp_transform(f)
+            residues = [(fx - frest) // block % p for fx, frest in pairs]
             m = next((m for m in range(block) if set(residues[m::block]) != nonzero), None)
         if m is not None:
-            report = CriterionReport(
+            return CriterionReport(
                 ok=False,
                 failure=(k, m),
                 detail=f"sibling coefficients of {m} at level {k} miss a nonzero residue",
             )
-    return report
+    return _CRITERION_OK
 
 
 def coordinate_subfunctions(f: LipschitzFn, k: int) -> list[tuple[int, ...]]:
@@ -423,7 +417,7 @@ def random_lipschitz(ctx: PrimeContext, rng: random.Random) -> LipschitzFn:
     p = ctx.p
     draws = _uniform_draws(rng, p)
     levels = (list(itertools.islice(draws, p ** (k + 1))) for k in range(ctx.precision))
-    return LipschitzFn(ctx, _assemble(p, levels), "random_lipschitz")
+    return LipschitzFn._trusted(ctx, _assemble(p, levels), "random_lipschitz")
 
 
 def random_measure_preserving(ctx: PrimeContext, rng: random.Random) -> LipschitzFn:
@@ -445,7 +439,7 @@ def random_measure_preserving(ctx: PrimeContext, rng: random.Random) -> Lipschit
                 i += start
                 j = start + next(draws)
                 level[i], level[j] = level[j], level[i]
-    return LipschitzFn(ctx, _assemble(p, levels), "random_measure_preserving")
+    return LipschitzFn._trusted(ctx, _assemble(p, levels), "random_measure_preserving")
 
 
 def iter_all_lipschitz(ctx: PrimeContext):
@@ -497,7 +491,4 @@ def series_from_json(data: dict) -> VdpSeries:
     for i, c in enumerate(B):
         if type(c) is not int:
             raise ValueError(f"B[{i}] = {c!r}, expected an int")
-    coeffs = [c % ctx.modulus for c in B]
-    if len(coeffs) != ctx.modulus:
-        raise ValueError(f"need {ctx.modulus} coefficients, got {len(coeffs)}")
-    return VdpSeries(ctx, tuple(coeffs))
+    return VdpSeries(ctx, tuple(c % ctx.modulus for c in B))

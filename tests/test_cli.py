@@ -993,6 +993,39 @@ def test_verify_stdout_matches_pinned_digest(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[argv]
 
 
+# sha256 of enumerate's stdout, which prints the whole group and the node
+# count.  Exit 3 would mean the default node budget ran out.
+# - One first-lift search runs per generator of the maps that lift, not one
+#   per map: (11,3) plus takes 17,535 nodes and (2,7) times 4,848 (162,251
+#   and 128,106 when every map of a level had its own search).
+# - The (11,3) and search (25,693 nodes) builds its level tables from 1.79 M
+#   digit-wise products, read two digits per lookup from the P = 121 chunk
+#   table; the (13,2) search reads the P = 169 one.  (17,2) is the only case
+#   that runs the digit loop of p >= 17, one digit_op call per digit.  So a
+#   wrong digit-wise kernel or chunk table changes these groups, of
+#   phi(p-1)**k = 4**3, 4**2 and 8**2 maps.
+ENUMERATE_DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "enumerate_stdout_sha256.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "argv,count",
+    [
+        ("enumerate --p 11 --k 3 --ops plus", 1210),
+        ("enumerate --p 2 --k 7 --ops times", 1024),
+        ("enumerate --p 11 --k 3 --ops and", 64),
+        ("enumerate --p 13 --k 2 --ops and", 16),
+        ("enumerate --p 17 --k 2 --ops and", 64),
+    ],
+)
+def test_enumerate_stdout_matches_pinned_digest(capsys, argv, count):
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert json.loads(out)["count"] == count
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DIGESTS[argv]
+
+
 def test_report_pretty_output(tmp_path, capsys):
     paths = []
     for name, data in [

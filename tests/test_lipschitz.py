@@ -80,12 +80,11 @@ def test_one_pass_tower_check_matches_naive_definition(data):
     if expected is None:
         assert LipschitzFn.from_table(ctx, table).table == tuple(table)
         return
-    with pytest.raises(CompatibilityViolation) as err:
-        LipschitzFn.from_table(ctx, table)
-    assert (err.value.x, err.value.y, err.value.level) == expected
-    # an unvalidated table still fails the coefficient divisibility
-    with pytest.raises(ValueError):
-        vdp_transform(LipschitzFn(ctx, table))
+    # the constructor and from_table refuse alike, so no instance escapes the check
+    for build in (LipschitzFn, LipschitzFn.from_table):
+        with pytest.raises(CompatibilityViolation) as err:
+            build(ctx, table)
+        assert (err.value.x, err.value.y, err.value.level) == expected
 
 
 @pytest.mark.parametrize("p,K", [(2, 7), (3, 4), (5, 3), (7, 2)])
@@ -356,6 +355,12 @@ def test_fn_json_roundtrip():
 C32 = PrimeContext(3, 2)
 
 
+def unread_table():
+    """A table that fails the test if anything reads an entry of it."""
+    raise AssertionError("the table was read")
+    yield
+
+
 @pytest.mark.parametrize(
     "make,message",
     [
@@ -374,9 +379,34 @@ C32 = PrimeContext(3, 2)
             lambda: coordinate_subfunctions(identity(C32), True), "level must be an int, got True",
             id="subfunctions-level-bool",
         ),
+        # the constructor validates: every LipschitzFn is tower compatible
+        pytest.param(
+            lambda: LipschitzFn(C32, [0.5, *range(1, 9)]),
+            "table[0] = 0.5, expected an int in [0, 9)",
+            id="constructor-float",
+        ),
+        pytest.param(
+            lambda: LipschitzFn(C32, [0, True, *range(2, 9)]),
+            "table[1] = True, expected an int in [0, 9)",
+            id="constructor-bool",
+        ),
+        pytest.param(
+            lambda: LipschitzFn(C32, range(8)), "table length 8, expected 9", id="constructor-short"
+        ),
+        # the size is checked before the table is read
+        pytest.param(
+            lambda: LipschitzFn(PrimeContext(2, 25), unread_table()),
+            "table of size 33554432 exceeds the desk-scale cap 16777216",
+            id="constructor-over-cap",
+        ),
+        # a series holds one coefficient per residue, checked when it is built
         pytest.param(
             lambda: vdp_inverse(VdpSeries(C32, (0,) * 8)), "need 9 coefficients, got 8",
             id="vdp-inverse-length",
+        ),
+        pytest.param(
+            lambda: VdpSeries(C32, (1,)).normalized(5), "need 9 coefficients, got 1",
+            id="vdp-series-length",
         ),
         # an index that is not an int in [0, 9) is refused before the lookup,
         # which would read -1 and True as other coefficients

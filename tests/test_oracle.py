@@ -1,6 +1,7 @@
 """Tests for the exhaustive enumeration oracle and family comparisons."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -676,6 +677,50 @@ def test_times_xor_keeps_one_top_bit_flip_at_p2(p, k):
         group.append(tuple(x ^ (2 ** (k - 1) * ((x >> 1) & 1)) for x in range(n)))
     result = enumerate_automorphisms(PrimeContext(p, k), ["times", "xor"])
     assert result.automorphisms == tuple(sorted(group))
+
+
+def totient(n):
+    return sum(math.gcd(n, m) == 1 for m in range(1, n + 1))
+
+
+def group_order(p, k, ops):
+    """The order of the group of ops mod p**k, in closed form.
+
+    At k = 1 xor is plus mod p and and is times, so each op set has the
+    group of the ring ops it reduces to: p - 1 maps for plus, phi(p - 1) for
+    times, the identity alone for both.  From k = 2 on, plus+xor keeps the p
+    scalings 1 mod p**(k-1), and times+xor keeps one top-bit flip at p = 2
+    and k >= 3; every other pair keeps the identity alone.
+    """
+    if k == 1:
+        ring = frozenset({"xor": "plus", "and": "times"}.get(op, op) for op in ops)
+        return {frozenset({"plus"}): p - 1, frozenset({"times"}): totient(p - 1)}.get(ring, 1)
+    return {
+        ("plus",): totient(p**k),
+        ("xor",): (p - 1) ** k * p ** (k * (k - 1) // 2),
+        ("and",): totient(p - 1) ** k,
+        ("times",): totient(p - 1) * (p - 1) ** 2 * p ** (2 * k - 4),
+        ("plus", "xor"): p,
+        ("times", "xor"): 2 if p == 2 and k >= 3 else 1,
+    }.get(tuple(ops), 1)
+
+
+ORDER_REACH = (
+    [(2, k) for k in range(1, 8)]
+    + [(3, k) for k in range(1, 6)]
+    + [(p, k) for p in (5, 7) for k in range(1, 4)]
+    + [(p, k) for p in (11, 13) for k in (1, 2)]
+)
+# xor alone is searched where its group stays small: it is the largest
+XOR_ORDER_MAX = 8000
+
+
+@pytest.mark.parametrize("p,k", ORDER_REACH)
+def test_group_orders_match_their_closed_forms(p, k):
+    ctx = PrimeContext(p, k)
+    op_sets = [ops for ops in OP_SETS if ops != ["xor"] or family_size(ctx, "xor") <= XOR_ORDER_MAX]
+    counts = {"+".join(ops): enumerate_automorphisms(ctx, ops).count for ops in op_sets}
+    assert counts == {"+".join(ops): group_order(p, k, ops) for ops in op_sets}
 
 
 def test_enumeration_result_json():

@@ -611,31 +611,6 @@ def test_criteria_keep_one_set_per_prefix_at_large_p():
         assert peak < 32 * 2**20, peak
 
 
-def test_vdp_transform_names_first_incompatible_coefficient(ctx):
-    # a table that skipped the tower pass: the first argument whose
-    # coefficient is not divisible is named, as the per-entry reference does,
-    # and the vdp criterion raises the same error.  The random_lipschitz
-    # tables mostly fail the criterion at level 0, so it must still test the
-    # later levels' divisibility; the measure-preserving ones pass every
-    # level, so the perturbed level is read with its criterion live.
-    if ctx.precision == 1:
-        pytest.skip("every table at K = 1 is tower compatible")
-    rng = random.Random(ctx.p * 100 + ctx.precision + 7)
-    for generate in [random_lipschitz] * 4 + [random_measure_preserving] * 4:
-        table = list(generate(ctx, rng).table)
-        for x in rng.sample(range(ctx.p, ctx.modulus), 2):
-            table[x] = (table[x] + 1) % ctx.modulus
-        f = LipschitzFn(ctx, table)
-        with pytest.raises(ValueError) as expected:
-            reference_vdp_coefficients(f)
-        with pytest.raises(ValueError) as err:
-            vdp_transform(f)
-        assert str(err.value) == str(expected.value)
-        with pytest.raises(ValueError) as err:
-            preserves_measure_vdp(f)
-        assert str(err.value) == str(expected.value)
-
-
 # sha256 over (random_lipschitz table, random_measure_preserving table, rng
 # state afterwards), seeded per context: the generators' draws and their
 # order are part of verify's byte-identical output
