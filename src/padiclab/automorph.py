@@ -31,6 +31,7 @@ from .core import (
     mapping_field,
     padic_from_json,
     pow_unit,
+    record_to_json,
     sequence_field,
     teichmuller,
     unit_decompose,
@@ -576,14 +577,7 @@ class GReport:
     exponent_gcd: int | None
     predicted_nontrivial: bool
 
-    def to_json(self) -> dict:
-        return {
-            "trivial": self.trivial,
-            "group_order": self.group_order,
-            "witnesses": list(self.witnesses),
-            "exponent_gcd": self.exponent_gcd,
-            "predicted_nontrivial": self.predicted_nontrivial,
-        }
+    to_json = record_to_json
 
 
 def analyze_custom_op(op: CustomOp) -> GReport:

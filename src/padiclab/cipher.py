@@ -18,7 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PrimeContext, _is_small_prime, mapping_field, sequence_field
+from .core import (
+    PrimeContext,
+    _is_small_prime,
+    _json_value,
+    mapping_field,
+    record_to_json,
+    sequence_field,
+)
 from .lipschitz import LipschitzFn, _assemble, _check_table_size
 from .automorph import Operation, operation_by_name
 
@@ -57,8 +64,7 @@ class Word:
             raise ValueError(f"prefix length {length} outside [1, {len(self.symbols)}]")
         return Word(self.p, self.symbols[:length])
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "symbols": list(self.symbols)}
+    to_json = record_to_json
 
 
 def word_from_json(data: dict) -> Word:
@@ -277,9 +283,7 @@ def parse_formula(nested) -> tuple:
 
 
 def formula_to_json(tree: tuple) -> list:
-    if tree[0] == "leaf":
-        return list(tree)
-    return [tree[0], formula_to_json(tree[1]), formula_to_json(tree[2])]
+    return _json_value(tree)
 
 
 def formula_ops(tree: tuple) -> set[str]:
@@ -315,16 +319,7 @@ class HomomorphicDemo:
     equal: bool
     mismatch_positions: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "formula": formula_to_json(self.formula),
-            "plain_result": self.plain_result.to_json(),
-            "encrypted_plain_result": self.encrypted_plain_result.to_json(),
-            "encrypted_inputs": [w.to_json() for w in self.encrypted_inputs],
-            "cipher_result": self.cipher_result.to_json(),
-            "equal": self.equal,
-            "mismatch_positions": list(self.mismatch_positions),
-        }
+    to_json = record_to_json
 
 
 def homomorphic_eval(

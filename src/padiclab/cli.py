@@ -15,7 +15,7 @@ import json
 import random
 import sys
 
-from .core import PrimeContext, mapping_field, sequence_field
+from .core import PrimeContext, mapping_field, record_to_json, sequence_field
 from . import lipschitz
 from .lipschitz import (
     CompatibilityViolation,
@@ -164,15 +164,7 @@ def cmd_check_hom(args):
     for name in args.ops.split(","):
         op = operation_by_name(name.strip())
         report = is_homomorphism(fn, op, seed=args.seed)
-        results.append(
-            {
-                "op": op.name,
-                "ok": report.ok,
-                "counterexample": list(report.counterexample) if report.counterexample else None,
-                "mode": report.mode,
-                "checked": report.checked,
-            }
-        )
+        results.append({"op": op.name, **record_to_json(report)})
     return {"p": fn.ctx.p, "K": fn.ctx.precision, "seed": args.seed, "results": results}, None
 
 

@@ -18,7 +18,7 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 MAX_PRECISION = 32
 
@@ -338,6 +338,18 @@ def mapping_field(value, field: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{field} = {value!r}, expected an object")
     return value
+
+
+def _json_value(value):
+    """A tuple as a list, item by item; a nested record as its to_json(); else the value."""
+    if isinstance(value, tuple):
+        return list(map(_json_value, value))  # one frame per nesting level
+    return value.to_json() if hasattr(value, "to_json") else value
+
+
+def record_to_json(record) -> dict:
+    """A dataclass record's fields by name, each through _json_value."""
+    return {field.name: _json_value(getattr(record, field.name)) for field in fields(record)}
 
 
 def padic_from_json(ctx: PrimeContext, data, field: str) -> PadicInt:

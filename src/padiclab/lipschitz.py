@@ -43,6 +43,8 @@ class CompatibilityViolation(ValueError):
 
 
 def _check_table_size(ctx: PrimeContext) -> None:
+    if not isinstance(ctx, PrimeContext):
+        raise ValueError(f"ctx must be a PrimeContext, got {ctx!r}")
     if ctx.modulus > MAX_TABLE_SIZE:
         raise ValueError(
             f"table of size {ctx.modulus} exceeds the desk-scale cap {MAX_TABLE_SIZE}"
@@ -66,16 +68,17 @@ class LipschitzFn:
     """A tower-compatible self-map of Z/p**K, stored as a value table.
 
     The constructor validates the table, so every instance is tower
-    compatible: its size within MAX_TABLE_SIZE (checked before the table
-    is read), its length p**K, its entries ints in [0, p**K), and then
-    compatibility at every level.  That holds iff f(x) = f(rest) mod p**n
-    for each x in [p**n, p**(n+1)) and rest = x mod p**n (by induction on
-    x, since rest < x agrees with x mod p**n), so one O(p**K) pass over the
-    digit places, each place's arguments against their rests table[:p**n],
-    decides it.  Only when that pass fails does the O(K p**K) scan, each
-    level's residues against its first block repeated: the first violation
-    by level, then by argument, is raised as CompatibilityViolation naming
-    the canonical representative, the argument and the level.
+    compatible: ctx a PrimeContext and its size within MAX_TABLE_SIZE
+    (both checked before the table is read), its length p**K, its entries
+    ints in [0, p**K), and then compatibility at every level.  That holds
+    iff f(x) = f(rest) mod p**n for each x in [p**n, p**(n+1)) and
+    rest = x mod p**n (by induction on x, since rest < x agrees with x mod
+    p**n), so one O(p**K) pass over the digit places, each place's
+    arguments against their rests table[:p**n], decides it.  Only when
+    that pass fails does the O(K p**K) scan, each level's residues against
+    its first block repeated: the first violation by level, then by
+    argument, is raised as CompatibilityViolation naming the canonical
+    representative, the argument and the level.
     """
 
     __slots__ = ("ctx", "table", "provenance")
@@ -184,7 +187,9 @@ class VdpSeries:
     otherwise.  For a tower-compatible source p**(digits(m)-1) divides B_m,
     so the normalized coefficient b_m = B_m / p**(digits(m)-1) is integral.
     A series holds exactly p**K coefficients; any other count raises
-    ValueError when it is built.
+    ValueError when it is built.  Its coefficients are checked to be ints
+    where they are read (``normalized``, ``vdp_inverse``), not at build,
+    so ``vdp_transform`` pays nothing for it.
     """
 
     ctx: PrimeContext
@@ -197,7 +202,7 @@ class VdpSeries:
     def normalized(self, m: int) -> int:
         """b_m as a residue (exact division by the guaranteed p-power).
 
-        Raises ValueError when m is not an int in [0, p**K).
+        Raises ValueError when m is not an int in [0, p**K) or B_m is not an int.
         """
         p, modulus = self.ctx.p, self.ctx.modulus
         if type(m) is not int or not 0 <= m < modulus:  # bools are not indices
@@ -205,7 +210,10 @@ class VdpSeries:
         shift = 1
         while shift * p <= m:
             shift *= p
-        b, rem = divmod(self.coefficients[m], shift)
+        c = self.coefficients[m]
+        if type(c) is not int:  # bools and floats are not coefficients
+            raise ValueError(f"B[{m}] = {c!r}, expected an int")
+        b, rem = divmod(c, shift)
         if rem:
             raise ValueError(f"coefficient {m} not divisible by {shift}")
         return b
@@ -216,6 +224,13 @@ class VdpSeries:
             "K": self.ctx.precision,
             "B": list(self.coefficients),
         }
+
+
+def _check_coefficients(B) -> None:
+    """Refuse the first coefficient that is not an int, bools and floats included."""
+    if not set(map(type, B)) <= {int}:
+        i = next(i for i, c in enumerate(B) if type(c) is not int)
+        raise ValueError(f"B[{i}] = {B[i]!r}, expected an int")
 
 
 def vdp_transform(f: LipschitzFn) -> VdpSeries:
@@ -246,12 +261,13 @@ def vdp_inverse(series: VdpSeries) -> LipschitzFn:
     is the ball of 0 mod p, not the constant one, which is what makes
     B_m = f(m) for m < p).  Those sums obey f(x) = f(rest) + B_x for
     x in [p**n, p**(n+1)) and rest = x mod p**n, so the table is built in
-    one O(p**K) pass, one digit place n at a time.
-    Compatibility of the result revalidates the coefficient divisibility
-    through from_table.
+    one O(p**K) pass, one digit place n at a time.  A coefficient that is
+    not an int is refused first, by index; compatibility of the result
+    revalidates the coefficient divisibility through from_table.
     """
     ctx = series.ctx
     coeffs, modulus, p = series.coefficients, ctx.modulus, ctx.p
+    _check_coefficients(coeffs)
     table = [b % modulus for b in coeffs[:p]]
     for n in range(1, ctx.precision):
         block = p**n
@@ -488,7 +504,5 @@ def series_from_json(data: dict) -> VdpSeries:
     data = mapping_field(data, "series")
     ctx = PrimeContext(data["p"], data["K"])
     B = sequence_field(data["B"], "B")
-    for i, c in enumerate(B):
-        if type(c) is not int:
-            raise ValueError(f"B[{i}] = {c!r}, expected an int")
+    _check_coefficients(B)
     return VdpSeries(ctx, tuple(c % ctx.modulus for c in B))

@@ -1,5 +1,6 @@
 """Tests for exact residue arithmetic, digit operations, and the analytic kernel."""
 
+import json
 import math
 import random
 import re
@@ -10,11 +11,19 @@ from hypothesis import strategies as st
 
 from padiclab import (
     ContextMismatch,
+    CustomOp,
+    KeystreamKey,
     PrimeContext,
+    Word,
+    analyze_custom_op,
+    compare_with_family,
+    enumerate_automorphisms,
     exp_p,
+    homomorphic_eval,
     inverse_unit,
     ln_p,
     padic_from_json,
+    parse_formula,
     pow_unit,
     teichmuller,
     unit_decompose,
@@ -457,6 +466,38 @@ def test_refusals_name_their_cause(make, error, message):
         make()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+# the result records that print through core.record_to_json: every tuple
+# field, nested ones included, must come out as a list, as JSON reads it back
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(
+            lambda: analyze_custom_op(
+                CustomOp.from_json(PrimeContext(5, 2), {"terms": [[1, 4, "1"]]})
+            ),
+            id="g-report",
+        ),
+        # (2,3) times holds two maps outside the mul family
+        pytest.param(
+            lambda: compare_with_family(enumerate_automorphisms(PrimeContext(2, 3), ["times"])),
+            id="set-comparison",
+        ),
+        pytest.param(lambda: Word(3, (1, 2)), id="word"),
+        pytest.param(
+            lambda: homomorphic_eval(
+                parse_formula(["xor", ["leaf", 0], ["plus", ["leaf", 1], ["leaf", 0]]]),
+                [Word(2, (1, 0, 1)), Word(2, (0, 1, 1))],
+                KeystreamKey(2, (1, 0, 1)),
+            ),
+            id="homomorphic-demo",
+        ),
+    ],
+)
+def test_record_json_survives_a_round_trip(make):
+    data = make().to_json()
+    assert json.loads(json.dumps(data)) == data
 
 
 def test_padic_json_roundtrip():

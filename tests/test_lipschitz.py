@@ -399,6 +399,45 @@ def unread_table():
             "table of size 33554432 exceeds the desk-scale cap 16777216",
             id="constructor-over-cap",
         ),
+        # the context too, before the table is read; every table builder
+        # checks it first, the random generators after their rng
+        pytest.param(
+            lambda: LipschitzFn(None, unread_table()), "ctx must be a PrimeContext, got None",
+            id="constructor-ctx-none",
+        ),
+        pytest.param(
+            lambda: LipschitzFn(None, [0]), "ctx must be a PrimeContext, got None",
+            id="constructor-ctx-none-table",
+        ),
+        pytest.param(
+            lambda: random_lipschitz(None, random.Random(0)), "ctx must be a PrimeContext, got None",
+            id="random-lipschitz-ctx-none",
+        ),
+        # a coefficient is an int where it is read: bools would read as 0
+        # and 1, and a float would surface as a table entry
+        pytest.param(
+            lambda: vdp_inverse(VdpSeries(C32, (True, False, True) + (0,) * 6)),
+            "B[0] = True, expected an int",
+            id="vdp-inverse-bool",
+        ),
+        pytest.param(
+            lambda: vdp_inverse(VdpSeries(C32, (0,) * 4 + (0.5,) + (0,) * 4)),
+            "B[4] = 0.5, expected an int",
+            id="vdp-inverse-float",
+        ),
+        pytest.param(
+            lambda: VdpSeries(C32, (True,) * 9).normalized(1), "B[1] = True, expected an int",
+            id="normalized-bool-coefficient",
+        ),
+        pytest.param(
+            lambda: VdpSeries(C32, (3.0,) * 9).normalized(3), "B[3] = 3.0, expected an int",
+            id="normalized-float-coefficient",
+        ),
+        pytest.param(
+            lambda: series_from_json({"p": 3, "K": 2, "B": [0, 1, 2, False, 0, 0, 0, 0, 0]}),
+            "B[3] = False, expected an int",
+            id="series-json-bool-later",
+        ),
         # a series holds one coefficient per residue, checked when it is built
         pytest.param(
             lambda: vdp_inverse(VdpSeries(C32, (0,) * 8)), "need 9 coefficients, got 8",
