@@ -467,6 +467,29 @@ def family_tables(ctx: PrimeContext, family: str) -> set[tuple[int, ...]]:
     return set(_digit_tables(p, _digit_levels(ctx, family)))
 
 
+def xor_generators(ctx: PrimeContext) -> list[XorSpec]:
+    """Generators of the xor family, the lower-triangular invertible matrices mod p.
+
+    The elementary matrices, the identity with a 1 at one place below the
+    diagonal, generate the unitriangular matrices; at odd p, one diagonal
+    matrix per level, with a primitive root mod p at that level and 1 at
+    every other, generates the diagonal ones.  Every member is a diagonal
+    matrix times a unitriangular one.
+    """
+    p, K = ctx.p, ctx.precision
+
+    def spec(k: int, i: int, c: int) -> XorSpec:
+        rows = [[int(col == row) for col in range(row + 1)] for row in range(K)]
+        rows[k][i] = c
+        return XorSpec(ctx, tuple(map(tuple, rows)))
+
+    generators = [spec(k, i, 1) for k in range(K) for i in range(k)]
+    if p > 2:
+        root = next(g for g in range(2, p) if len({pow(g, e, p) for e in range(1, p)}) == p - 1)
+        generators += [spec(k, k, root) for k in range(K)]
+    return generators
+
+
 # ---------------------------------------------------------------------------
 # homomorphism / automorphism checks
 # ---------------------------------------------------------------------------

@@ -220,7 +220,13 @@ def key_from_json(data: dict) -> CipherKey:
     raise ValueError(f"unknown key kind {kind!r}")
 
 
+def _require_key(key: CipherKey) -> None:
+    if not isinstance(key, CipherKey):
+        raise ValueError(f"key must be a cipher key, got {key!r}")
+
+
 def _check_key(word: Word, key: CipherKey) -> None:
+    _require_key(key)
     if word.p != key.p:
         raise ValueError(f"alphabet mismatch: word {word.p}, key {key.p}")
     if not key.covers(len(word)):
@@ -249,6 +255,7 @@ def model_fn(key: CipherKey, ctx: PrimeContext) -> LipschitzFn:
     when it was built, so its symbols need no second check.
     """
     _check_table_size(ctx)
+    _require_key(key)
     if key.p != ctx.p:
         raise ValueError(f"alphabet mismatch: key {key.p}, context {ctx.p}")
     if not key.covers(ctx.precision):

@@ -186,16 +186,18 @@ class VdpSeries:
     between the ball of m and the ball with the leading digit of m removed
     otherwise.  For a tower-compatible source p**(digits(m)-1) divides B_m,
     so the normalized coefficient b_m = B_m / p**(digits(m)-1) is integral.
-    A series holds exactly p**K coefficients; any other count raises
-    ValueError when it is built.  Its coefficients are checked to be ints
-    where they are read (``normalized``, ``vdp_inverse``), not at build,
-    so ``vdp_transform`` pays nothing for it.
+    A series holds exactly p**K coefficients for a ``PrimeContext``; any
+    other count or context raises ValueError when it is built.  Its
+    coefficients are checked to be ints where they are read
+    (``normalized``, ``vdp_inverse``), not at build, so ``vdp_transform``
+    pays nothing for it.
     """
 
     ctx: PrimeContext
     coefficients: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_table_size(self.ctx)
         if len(self.coefficients) != self.ctx.modulus:
             raise ValueError(f"need {self.ctx.modulus} coefficients, got {len(self.coefficients)}")
 

@@ -18,6 +18,8 @@ map ``g`` of the image ``H_j``, and composes: level j+1 is the union of the
 ``h_g o K_{j+1}``.  As in the transversal construction of Schreier-Sims,
 with the p-adic tower as the subgroup chain, ``H_j`` is found by generators:
 one first-lift search per generator and per coset of maps without a lift.
+The top level is kept as that tower, the lifts and the kernel, which give
+the group's order and a membership test without composing a map.
 
 The enumerated sets are compared against the realized parametric families.
 Any disagreement is reported with witnesses -- at finite precision the
@@ -27,6 +29,7 @@ effects that would betray them live above the precision window.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -60,19 +63,58 @@ class BudgetExceeded(RuntimeError):
         self.found = found
 
 
+def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """The table of a o b."""
+    return tuple([a[y] for y in b])
+
+
 @dataclass(frozen=True)
 class EnumerationResult:
-    """All automorphism tables of Z/p**k for a set of operations."""
+    """The automorphism group of Z/p**k for a set of operations, held by its tower.
+
+    ``lift_of`` maps each level-(k-1) map that lifts (the subgroup
+    ``H_{k-1}``) to one of its lifts, and ``kernel`` is ``K_k``, the maps
+    mod p**k that reduce to the identity; the group is the union of the
+    cosets ``lift_of[g] o K_k``.  So its order and its membership test need
+    no composed map: t is a member iff ``t mod p**(k-1)`` is a key g and
+    ``lift_of[g]**-1 o t`` lies in the kernel.  ``automorphisms`` composes
+    the maps only when asked.
+    """
 
     p: int
     k: int
     ops: tuple[str, ...]
-    automorphisms: tuple[tuple[int, ...], ...]  # lexicographically sorted
+    lift_of: dict[tuple[int, ...], tuple[int, ...]]
+    kernel: frozenset[tuple[int, ...]]
     nodes: int
 
     @property
     def count(self) -> int:
-        return len(self.automorphisms)
+        # h_g o kappa reduces to g, so distinct (g, kappa) give distinct maps
+        return len(self.lift_of) * len(self.kernel)
+
+    def __contains__(self, table) -> bool:
+        """Whether a table of p**k values is one of the group's maps."""
+        block = self.p ** (self.k - 1)
+        lift = self.lift_of.get(tuple([v % block for v in table[:block]]))
+        if lift is None:
+            return False
+        inverse = dict(zip(lift, range(len(lift))))
+        return tuple(map(inverse.get, table)) in self.kernel
+
+    @functools.cached_property
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """Every map of the group, composed once and lexicographically sorted.
+
+        Raises ValueError when the maps would hold more than
+        ``MAX_TABLE_SIZE`` entries in all.
+        """
+        if self.count * self.p**self.k > MAX_TABLE_SIZE:
+            raise ValueError(
+                f"the maps mod p**{self.k} would hold more than "
+                f"{MAX_TABLE_SIZE} entries in all (desk-scale cap)"
+            )
+        return tuple(sorted(_compose(h, kappa) for h in self.lift_of.values() for kappa in self.kernel))
 
     # written out, not record_to_json: one list() per table, where the rule
     # makes one call per value, about 18 times slower at (11,3) plus
@@ -110,8 +152,10 @@ def enumerate_automorphisms(
     lift, is skipped, and any other is searched up to its first lift.  A
     map with a lift becomes a generator, and ``lift_of`` is closed
     breadth-first under the generators, with ``h_f o h_s`` as the lift of
-    ``f o s``.  The next level is every ``lift_of[g] o kappa`` with
-    ``kappa`` in ``K_{j+1}``.
+    ``f o s``.  A level below k is composed, every ``lift_of[g] o kappa``
+    with ``kappa`` in ``K_{j+1}``, for the next level's walk; level k is
+    returned as its tower, ``lift_of`` and ``K_k``, and composed only when
+    its ``automorphisms`` are asked for.
 
     This is exact: composites and inverses of bijective homomorphisms are
     homomorphisms, and reduction mod p**j respects composition, so the
@@ -129,9 +173,10 @@ def enumerate_automorphisms(
     than returning a truncated answer.  Raises ValueError, before any table
     is built, when ``ops`` is a string rather than a list of operations or
     names, the node budget is not an int of at least 1 or one operation
-    table of (p**k)**2 entries would exceed ``MAX_TABLE_SIZE``, and before
-    composing a level whose maps would hold more than ``MAX_TABLE_SIZE``
-    entries in all.
+    table of (p**k)**2 entries would exceed ``MAX_TABLE_SIZE``; before
+    composing a level below k whose maps would hold more than
+    ``MAX_TABLE_SIZE`` entries in all; and while one lift per map of
+    ``H_j`` would.
     """
     operations = operations_by_name(ops)
     if type(node_budget) is not int or node_budget < 1:
@@ -229,11 +274,11 @@ def enumerate_automorphisms(
                     break
         return found
 
-    def compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        return tuple([a[y] for y in b])
-
-    group: list[tuple[int, ...]] = [(0,)]
+    names = tuple(op.name for op in operations)
+    group: Sequence[tuple[int, ...]] = [(0,)]
     for j in range(k):
+        if j:
+            group = tower.automorphisms
         # group[0] is the identity, and so is the kernel's first solution:
         # the search branches on the smallest unassigned argument and tries
         # its smallest free value first, so solutions come in lexicographic
@@ -245,7 +290,7 @@ def enumerate_automorphisms(
         generators = []  # (g, h_g) pairs
         unlifted: list[tuple[int, ...]] = []  # b**-1 for each b without a lift
         for g in group[1:]:
-            if g in lift_of or any(compose(b_inv, g) in lift_of for b_inv in unlifted):
+            if g in lift_of or any(_compose(b_inv, g) in lift_of for b_inv in unlifted):
                 continue
             known = len(lift_of) * len(kernel)
             lifts = extend(j, g, True)
@@ -257,18 +302,17 @@ def enumerate_automorphisms(
             queue = list(lift_of)
             for f in queue:
                 for s, h_s in generators:
-                    fs = compose(f, s)
+                    fs = _compose(f, s)
                     if fs not in lift_of:
-                        lift_of[fs] = compose(lift_of[f], h_s)
+                        lift_of[fs] = _compose(lift_of[f], h_s)
                         queue.append(fs)
-                        if len(lift_of) * len(kernel) * p ** (j + 1) > MAX_TABLE_SIZE:
+                        if len(lift_of) * p ** (j + 1) > MAX_TABLE_SIZE:
                             raise ValueError(
-                                f"the maps mod p**{j + 1} would hold more than "
+                                f"the lifts mod p**{j + 1} would hold more than "
                                 f"{MAX_TABLE_SIZE} entries in all (desk-scale cap)"
                             )
-        group = sorted(compose(h, kappa) for h in lift_of.values() for kappa in kernel)
-    names = tuple(op.name for op in operations)
-    return EnumerationResult(p, k, names, tuple(group), nodes)
+        tower = EnumerationResult(p, j + 1, names, lift_of, frozenset(kernel), nodes)
+    return tower
 
 
 @dataclass(frozen=True)

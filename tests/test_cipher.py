@@ -428,6 +428,20 @@ def test_demo_record_json():
             "all data words must have the same length",
             id="unequal-lengths",
         ),
+        # a key is one of the three cipher keys, named when it is not
+        *(
+            pytest.param(make, f"key must be a cipher key, got {key!r}", id=f"{name}-key-{kind}")
+            for kind, key in [("none", None), ("dict", {"kind": "keystream", "p": 3, "gamma": [1]})]
+            for name, make in [
+                ("encrypt", lambda key=key: encrypt(Word(3, (1,)), key)),
+                ("decrypt", lambda key=key: decrypt(Word(3, (1,)), key)),
+                (
+                    "homomorphic-eval",
+                    lambda key=key: homomorphic_eval(parse_formula(["leaf", 0]), [Word(3, (1,))], key),
+                ),
+                ("model-fn", lambda key=key: model_fn(key, PrimeContext(3, 1))),
+            ]
+        ),
         # an operation name is a known string; a list is not, hashable or not
         pytest.param(
             lambda: parse_formula([["leaf", 0], ["leaf", 0], ["leaf", 0]]),

@@ -262,8 +262,9 @@ def test_enumerate_oversized_is_validation_error(capsys):
 
 
 def test_enumerate_oversized_output_is_validation_error(capsys):
-    # xor at (2,7) has 2**21 maps of 128 entries; the output guard fires
-    # while the level-7 lifts are searched, before any map is composed
+    # xor at (2,7) has 2**21 maps of 128 entries; the search holds them by
+    # their tower (32,768 lifts and a kernel of 64 maps), and the output
+    # guard fires when the maps would be composed to be printed
     code = main(["enumerate", "--p", "2", "--k", "7", "--ops", "xor"])
     captured = capsys.readouterr()
     assert code == 1
@@ -970,7 +971,8 @@ def test_verify_pretty_output(capsys):
 
 # sha256 of verify's stdout, recorded before the claims shared one builder;
 # the contexts off the grid, 0.3-0.7 s each, are pinned for seed 0 compact
-# output only.  Exit 2 is the trivial-pairs claim failing honestly; exit 3
+# output only, as are (2,7), (3,5) and (7,3), first run when the groups
+# came to be held by their towers.  Exit 2 is the trivial-pairs claim failing honestly; exit 3
 # would mean the oracle ran out of its node budget
 VERIFY_DIGESTS = json.loads(
     (pathlib.Path(__file__).parent / "data" / "verify_stdout_sha256.json").read_text()
@@ -990,6 +992,22 @@ VERIFY_DIGESTS = json.loads(
 def test_verify_stdout_matches_pinned_digest(capsys, argv):
     code, out = run_cli(capsys, *argv.split())
     assert code == 2
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[argv]
+
+
+# past the output guard: the xor groups of 2**21, 2**5 * 3**10 and
+# 6**3 * 7**3 maps are checked by their generators and their order, and
+# each pair by membership, so no xor map is composed; about 1-2 s each.
+# The pair searches themselves are the reference for the pair counts
+@pytest.mark.parametrize("p,k", [(2, 7), (3, 5), (7, 3)])
+def test_verify_runs_past_the_output_guard(capsys, p, k):
+    argv = f"verify --p {p} --k {k} --seed 0"
+    code, out = run_cli(capsys, *argv.split())
+    claims = json.loads(out)["claims"]
+    assert code == 2
+    assert [c["name"] for c in claims if not c["pass"]] == ["trivial-pairs"]
+    pairs = {c["name"]: c for c in claims}["trivial-pairs"]["detail"]["counts"]
+    assert pairs == {"+".join(r.ops): r.count for r in oracle.verify_trivial_pairs(p, k).pairs}
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[argv]
 
 

@@ -413,6 +413,10 @@ def unread_table():
             lambda: random_lipschitz(None, random.Random(0)), "ctx must be a PrimeContext, got None",
             id="random-lipschitz-ctx-none",
         ),
+        pytest.param(
+            lambda: VdpSeries(None, (0,)), "ctx must be a PrimeContext, got None",
+            id="vdp-series-ctx-none",
+        ),
         # a coefficient is an int where it is read: bools would read as 0
         # and 1, and a float would surface as a table entry
         pytest.param(

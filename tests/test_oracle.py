@@ -19,6 +19,7 @@ from padiclab import (
     random_measure_preserving,
     realize,
     verify_trivial_pairs,
+    xor_generators,
 )
 from padiclab import oracle
 from padiclab.automorph import Operation
@@ -27,7 +28,6 @@ from padiclab.oracle import (
     MAX_TABLE_SIZE,
     OP_TO_FAMILY,
     OPERATION_PAIRS,
-    EnumerationResult,
 )
 
 # the four single operations and the six pairs
@@ -117,13 +117,13 @@ def permutation_enumeration(p, k, ops):
 
 def full_enumeration(
     ctx: PrimeContext, ops, *, node_budget: int = DEFAULT_NODE_BUDGET
-) -> EnumerationResult:
+) -> tuple[tuple[int, ...], ...]:
     """Reference search: find every map of every level by search.
 
     The oracle's propagating search before it became a coset search: a map
     found on Z/p**j is extended to every one of its lifts on Z/p**(j+1) and
     each of those is extended in turn, so ``found`` collects the maps of
-    Z/p**k one by one.
+    Z/p**k one by one.  Returns them sorted.
     """
     p, k = ctx.p, ctx.precision
     if ctx.modulus**2 > MAX_TABLE_SIZE:
@@ -218,8 +218,7 @@ def full_enumeration(
                 found.append(tuple(h))
 
     extend(0, [0])
-    names = tuple(op.name for op in operations)
-    return EnumerationResult(p, k, names, tuple(sorted(found)), nodes)
+    return tuple(sorted(found))
 
 
 # the first four keep their historical ids ops0..ops3
@@ -266,7 +265,7 @@ def test_coset_search_matches_full_search(p, k):
     ctx = PrimeContext(p, k)
     for ops in OP_SETS:
         result = enumerate_automorphisms(ctx, ops)
-        assert result.automorphisms == full_enumeration(ctx, ops).automorphisms, ops
+        assert result.automorphisms == full_enumeration(ctx, ops), ops
 
 
 @pytest.mark.parametrize("p,k", [(3, 2), (2, 3), (5, 2)])
@@ -276,7 +275,7 @@ def test_coset_search_matches_full_search_on_custom_ops(p, k, custom):
     ctx = PrimeContext(p, k)
     for ops in ([custom], [custom, "xor"]):
         result = enumerate_automorphisms(ctx, ops)
-        assert result.automorphisms == full_enumeration(ctx, ops).automorphisms, ops
+        assert result.automorphisms == full_enumeration(ctx, ops), ops
 
 
 @pytest.mark.parametrize("p,k,times", [(3, 4, 324), (2, 6, 256)])
@@ -364,10 +363,31 @@ def test_node_counts_on_the_verify_grid(p, k):
 
 def test_output_larger_than_the_cap_is_refused(monkeypatch):
     # (3,3) xor has 12 maps mod 9 (108 entries) and 216 mod 27 (5,832); the
-    # op tables (27**2 = 729 entries) stay under the cap, the output does not
+    # op tables (27**2 = 729 entries) and the 12 lifts mod 27 (324) stay
+    # under the cap, the composed group does not: its order is known, its
+    # maps are refused
     monkeypatch.setattr(oracle, "MAX_TABLE_SIZE", 1_000)
+    result = enumerate_automorphisms(PrimeContext(3, 3), ["xor"])
+    assert result.count == 216
     with pytest.raises(ValueError, match=r"maps mod p\*\*3"):
-        enumerate_automorphisms(PrimeContext(3, 3), ["xor"])
+        result.automorphisms
+
+
+@pytest.mark.parametrize(
+    "cap,p,k,message",
+    [
+        # (2,6) xor: the op tables hold 64**2 = 4,096 entries, and the
+        # 1,024 maps mod 32 (32,768) would be composed for the walk of level 6
+        (5_000, 2, 6, r"maps mod p\*\*5 would hold"),
+        # (2,5) xor: the 64 maps mod 16 (1,024 entries) all lift, and the
+        # 64 lifts mod 32 hold 2,048
+        (1_500, 2, 5, r"lifts mod p\*\*5 would hold"),
+    ],
+)
+def test_search_refuses_what_it_would_hold_over_the_cap(monkeypatch, cap, p, k, message):
+    monkeypatch.setattr(oracle, "MAX_TABLE_SIZE", cap)
+    with pytest.raises(ValueError, match=message):
+        enumerate_automorphisms(PrimeContext(p, k), ["xor"])
 
 
 def test_enumeration_counts_examples():
@@ -711,16 +731,84 @@ ORDER_REACH = (
     + [(p, k) for p in (5, 7) for k in range(1, 4)]
     + [(p, k) for p in (11, 13) for k in (1, 2)]
 )
-# xor alone is searched where its group stays small: it is the largest
-XOR_ORDER_MAX = 8000
 
 
 @pytest.mark.parametrize("p,k", ORDER_REACH)
 def test_group_orders_match_their_closed_forms(p, k):
+    # each order is read off the tower, so no group is composed: xor at
+    # (2,7), (3,5) and (7,3) has more maps than the output guard lets out
     ctx = PrimeContext(p, k)
-    op_sets = [ops for ops in OP_SETS if ops != ["xor"] or family_size(ctx, "xor") <= XOR_ORDER_MAX]
-    counts = {"+".join(ops): enumerate_automorphisms(ctx, ops).count for ops in op_sets}
-    assert counts == {"+".join(ops): group_order(p, k, ops) for ops in op_sets}
+    results = {"+".join(ops): enumerate_automorphisms(ctx, ops) for ops in OP_SETS}
+    assert {ops: result.count for ops, result in results.items()} == {
+        "+".join(ops): group_order(p, k, ops) for ops in OP_SETS
+    }
+    assert not any("automorphisms" in vars(result) for result in results.values())
+
+
+def tower_bijections(p, k):
+    """Every tower-compatible bijection of Z/p**k: each map on Z/p**j
+    extended by one permutation of the digits per prefix a < p**j."""
+    perms = list(itertools.permutations(range(p)))
+    tables = [(0,)]
+    for j in range(k):
+        block = p**j
+        tables = [
+            tuple(t[a] + choice[a][d] * block for d in range(p) for a in range(block))
+            for t in tables
+            for choice in itertools.product(perms, repeat=block)
+        ]
+    return tables
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_membership_matches_the_composed_group_on_every_bijection(p, k):
+    # the test reads the tower (a lift of the reduction, then the kernel);
+    # the composed group is the reference
+    ctx = PrimeContext(p, k)
+    bijections = tower_bijections(p, k)
+    assert len(bijections) == math.prod(math.factorial(p) ** p**j for j in range(k))
+    for ops in OP_SETS:
+        result = enumerate_automorphisms(ctx, ops)
+        group = set(result.automorphisms)
+        assert [t in result for t in bijections] == [t in group for t in bijections], ops
+
+
+@pytest.mark.parametrize("p,k", list(GRID_NODES))
+def test_membership_matches_the_composed_group_on_the_grid(p, k):
+    ctx = PrimeContext(p, k)
+    rng = random.Random(p * 100 + k)
+    samples = [random_measure_preserving(ctx, rng).table for _ in range(200)]
+    for ops in OP_SETS:
+        result = enumerate_automorphisms(ctx, ops)
+        group = set(result.automorphisms)
+        assert all(t in result for t in group), ops
+        assert [t in result for t in samples] == [t in group for t in samples], ops
+
+
+@pytest.mark.parametrize(
+    "p,k", [(2, k) for k in range(1, 6)] + [(3, k) for k in range(1, 4)] + [(5, 1), (5, 2), (7, 2)]
+)
+def test_xor_generators_generate_the_family(p, k):
+    ctx = PrimeContext(p, k)
+    generators = [realize(spec).table for spec in xor_generators(ctx)]
+    assert len(generators) == k * (k - 1) // 2 + (k if p > 2 else 0)
+    identity = tuple(range(ctx.modulus))
+    closure, queue = {identity}, [identity]
+    for f in queue:
+        for s in generators:
+            fs = tuple(f[y] for y in s)
+            if fs not in closure:
+                closure.add(fs)
+                queue.append(fs)
+    assert closure == family_tables(ctx, "xor")
+
+
+# verify checks xor by its generators and its order; the whole set is
+# compared here, at every context where verify compared it before
+@pytest.mark.parametrize("p,k", list(GRID_NODES) + [(7, 2), (3, 4), (13, 2), (5, 3), (2, 6)])
+def test_xor_group_equals_its_family(p, k):
+    comparison = compare_with_family(enumerate_automorphisms(PrimeContext(p, k), ["xor"]))
+    assert comparison.equal and comparison.enumerated_count == family_size(PrimeContext(p, k), "xor")
 
 
 def test_enumeration_result_json():
