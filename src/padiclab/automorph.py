@@ -20,13 +20,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from collections.abc import Callable
 
 from .core import (
     ContextMismatch,
     PadicInt,
     PrimeContext,
+    Record,
     _uniform_draws,
     mapping_field,
     padic_from_json,
@@ -36,13 +36,19 @@ from .core import (
     teichmuller,
     unit_decompose,
 )
-from .lipschitz import MAX_TABLE_SIZE, LipschitzFn, _check_table_size, is_bijective_mod
+from .lipschitz import (
+    MAX_TABLE_SIZE,
+    LipschitzFn,
+    _check_context,
+    _check_table_size,
+    is_bijective_mod,
+)
 
 # above this table size homomorphism checks switch to seeded random pairs
 EXHAUSTIVE_PAIR_LIMIT = 2**10
 
 
-class Operation(NamedTuple):
+class Operation(Record):
     """Binary operation on residues mod p**K: ``apply(ctx, x, y)`` at ctx's precision."""
 
     name: str
@@ -149,13 +155,18 @@ class CustomOp:
 # ---------------------------------------------------------------------------
 
 
+def _require_padic(v, name: str) -> None:
+    if not isinstance(v, PadicInt):
+        raise ValueError(f"{name} must be a PadicInt, got {v!r}")
+
+
 def _require_unit(v: PadicInt, name: str) -> None:
+    _require_padic(v, name)
     if not v.is_unit():
         raise ValueError(f"{name} must be a unit, got {v.value} (p={v.ctx.p})")
 
 
-@dataclass(frozen=True)
-class AddSpec:
+class AddSpec(Record):
     """x -> A*x with A a unit: the additive automorphisms."""
 
     A: PadicInt
@@ -168,8 +179,7 @@ class AddSpec:
         return self.A.ctx
 
 
-@dataclass(frozen=True)
-class MulSpec:
+class MulSpec(Record):
     """Multiplicative automorphism acting as (p-power, torsion, principal unit).
 
     The p-power part picks up A**k, the torsion part is raised to s with
@@ -182,6 +192,8 @@ class MulSpec:
     A: PadicInt
 
     def __post_init__(self):
+        _require_padic(self.a, "a")
+        _require_padic(self.A, "A")
         ctx = self.a.ctx
         if self.A.ctx != ctx:
             raise ContextMismatch(f"{ctx} vs {self.A.ctx}")
@@ -197,8 +209,7 @@ class MulSpec:
         return self.a.ctx
 
 
-@dataclass(frozen=True)
-class XorSpec:
+class XorSpec(Record):
     """Triangular digit-linear map: output digit k is a mod-p combination
     of input digits 0..k with a nonzero coefficient on digit k."""
 
@@ -207,6 +218,7 @@ class XorSpec:
 
     def __post_init__(self):
         ctx = self.ctx
+        _check_context(ctx)
         alpha = sequence_field(self.alpha, "alpha")
         alpha = tuple(sequence_field(row, f"alpha[{k}]") for k, row in enumerate(alpha))
         object.__setattr__(self, "alpha", alpha)
@@ -222,8 +234,7 @@ class XorSpec:
                 raise ValueError(f"diagonal coefficient of row {k} must be nonzero")
 
 
-@dataclass(frozen=True)
-class AndSpec:
+class AndSpec(Record):
     """Digit-power map: output digit k is (input digit k) ** s_list[k] mod p,
     with every exponent coprime to p-1."""
 
@@ -232,6 +243,7 @@ class AndSpec:
 
     def __post_init__(self):
         ctx = self.ctx
+        _check_context(ctx)
         object.__setattr__(self, "exponents", sequence_field(self.exponents, "s_list"))
         if len(self.exponents) != ctx.precision:
             raise ValueError(
@@ -495,8 +507,7 @@ def xor_generators(ctx: PrimeContext) -> list[XorSpec]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomReport:
+class HomReport(Record):
     """Outcome of f(x op y) = f(x) op f(y) checking over argument pairs."""
 
     ok: bool
@@ -567,8 +578,12 @@ def compose_mul(lhs: MulSpec, rhs: MulSpec) -> MulSpec:
 
     With rhs scaling factor B split as theta_B * (1 + p*B1), the composite is
     (s*d normalized into [1, p-1] mod p-1, a*b, A * theta_B**s * (1+p*B1)**a).
-    Specs of two contexts raise ContextMismatch at a*b, by the operand rule.
+    Specs of two contexts raise ContextMismatch at a*b, by the operand rule,
+    and an argument that is not a MulSpec raises TypeError.
     """
+    for name, spec in (("lhs", lhs), ("rhs", rhs)):
+        if not isinstance(spec, MulSpec):
+            raise TypeError(f"{name} must be a MulSpec, got {spec!r}")
     ctx = lhs.ctx
     parts = unit_decompose(rhs.A)
     s = (lhs.s * rhs.s - 1) % (ctx.p - 1) + 1
@@ -582,8 +597,7 @@ def compose_mul(lhs: MulSpec, rhs: MulSpec) -> MulSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GReport:
+class GReport(Record):
     """Scalings x -> Ax commuting with a custom operation, at this precision.
 
     ``witnesses`` are the units A mod p**K that pass an exhaustive

@@ -16,10 +16,9 @@ keeps both sides as evidence either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     PrimeContext,
+    Record,
     _is_small_prime,
     _json_value,
     mapping_field,
@@ -41,8 +40,7 @@ def _check_symbols(p: int, symbols: tuple, field: str) -> None:
             raise ValueError(f"{field}[{i}] = {s!r}, expected an int in [0, {p})")
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """Finite word over the alphabet {0, ..., p-1}; symbol 0 is the units digit."""
 
     p: int
@@ -118,8 +116,7 @@ def _check_permutation(p: int, table, field: str) -> tuple[int, ...]:
     return table
 
 
-@dataclass(frozen=True)
-class SubstitutionKey:
+class SubstitutionKey(Record):
     """One alphabet permutation applied at every position."""
 
     p: int
@@ -143,8 +140,7 @@ class SubstitutionKey:
         return {"kind": self.kind, "p": self.p, "g": list(self.table)}
 
 
-@dataclass(frozen=True)
-class SubstitutionStreamKey:
+class SubstitutionStreamKey(Record):
     """An independent alphabet permutation for each position."""
 
     p: int
@@ -177,8 +173,7 @@ class SubstitutionStreamKey:
         return {"kind": self.kind, "p": self.p, "gs": [list(t) for t in self.tables]}
 
 
-@dataclass(frozen=True)
-class KeystreamKey:
+class KeystreamKey(Record):
     """Shift each symbol by a key symbol, mod p."""
 
     p: int
@@ -308,8 +303,7 @@ def eval_formula(tree: tuple, data: list[Word]) -> Word:
     return word_op(eval_formula(left, data), eval_formula(right, data), op)
 
 
-@dataclass(frozen=True)
-class HomomorphicDemo:
+class HomomorphicDemo(Record):
     """Both evaluation routes and the verdict, never a bare boolean.
 
     ``encrypted_plain_result`` is the formula evaluated on plaintext and then

@@ -18,7 +18,6 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass, fields
 
 MAX_PRECISION = 32
 
@@ -347,9 +346,64 @@ def _json_value(value):
     return value.to_json() if hasattr(value, "to_json") else value
 
 
-def record_to_json(record) -> dict:
-    """A dataclass record's fields by name, each through _json_value."""
-    return {field.name: _json_value(getattr(record, field.name)) for field in fields(record)}
+class Record:
+    """An immutable record whose fields are its class's own annotated names, in order.
+
+    A class attribute of a field's name is that field's default.  Each
+    subclass gets one ``__init__``, compiled when the class is created, that
+    takes the fields by position or keyword, sets them and then calls
+    ``__post_init__`` where the class has one.  Equality (same class, same
+    values), the hash of the values, the repr ``Name(field=value, ...)`` and
+    the refusal to assign or delete an attribute are shared.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # the class's own __dict__: every Python from 3.10 fills it under
+        # postponed annotations, and a base's fields are not inherited
+        names = tuple(cls.__dict__.get("__annotations__", {}))
+        defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+        params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names)
+        body = "".join(f"\n  _setattr(self, {n!r}, {n})" for n in names)
+        if hasattr(cls, "__post_init__"):
+            body += "\n  self.__post_init__()"
+        namespace: dict = {}
+        exec(
+            f"def make(_setattr, _defaults):\n def __init__(self, {params}):{body}\n return __init__",
+            namespace,
+        )
+        init = namespace["make"](object.__setattr__, defaults)
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+        cls._fields = names
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable record")
+
+
+def record_to_json(record: Record) -> dict:
+    """A Record's fields by name, in declaration order, each through _json_value."""
+    return {name: _json_value(getattr(record, name)) for name in record._fields}
 
 
 def padic_from_json(ctx: PrimeContext, data, field: str) -> PadicInt:
@@ -408,8 +462,7 @@ def teichmuller(u: PadicInt) -> PadicInt:
     return PadicInt(ctx, pow(u.value, ctx.modulus, ctx.modulus))
 
 
-@dataclass(frozen=True)
-class UnitDecomposition:
+class UnitDecomposition(Record):
     """x = p**valuation * theta * one_plus_pt with theta torsion, 1+pt principal."""
 
     valuation: int

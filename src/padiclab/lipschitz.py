@@ -15,10 +15,16 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from operator import add, ne
 
-from .core import ContextMismatch, PrimeContext, _uniform_draws, mapping_field, sequence_field
+from .core import (
+    ContextMismatch,
+    PrimeContext,
+    Record,
+    _uniform_draws,
+    mapping_field,
+    sequence_field,
+)
 
 # value tables are materialized in full; anything larger is out of scope
 MAX_TABLE_SIZE = 2**24
@@ -42,9 +48,13 @@ class CompatibilityViolation(ValueError):
         self.level = level
 
 
-def _check_table_size(ctx: PrimeContext) -> None:
+def _check_context(ctx) -> None:
     if not isinstance(ctx, PrimeContext):
         raise ValueError(f"ctx must be a PrimeContext, got {ctx!r}")
+
+
+def _check_table_size(ctx: PrimeContext) -> None:
+    _check_context(ctx)
     if ctx.modulus > MAX_TABLE_SIZE:
         raise ValueError(
             f"table of size {ctx.modulus} exceeds the desk-scale cap {MAX_TABLE_SIZE}"
@@ -178,8 +188,7 @@ def compose(f: LipschitzFn, g: LipschitzFn) -> LipschitzFn:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VdpSeries:
+class VdpSeries(Record):
     """Ball-indicator expansion coefficients of a function mod p**K.
 
     ``coefficients[m]`` is B_m: B_m = f(m) for m < p, and the increment of f
@@ -282,8 +291,7 @@ def vdp_inverse(series: VdpSeries) -> LipschitzFn:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(Record):
     """Outcome of a measure-preservation check with the first failure site."""
 
     ok: bool

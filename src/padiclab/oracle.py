@@ -32,9 +32,8 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from .core import PrimeContext, record_to_json
+from .core import PrimeContext, Record, record_to_json
 from .lipschitz import MAX_TABLE_SIZE
 from .automorph import OP_TO_FAMILY, family_tables, operations_by_name
 
@@ -68,8 +67,7 @@ def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple([a[y] for y in b])
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(Record):
     """The automorphism group of Z/p**k for a set of operations, held by its tower.
 
     ``lift_of`` maps each level-(k-1) map that lifts (the subgroup
@@ -116,8 +114,8 @@ class EnumerationResult:
             )
         return tuple(sorted(_compose(h, kappa) for h in self.lift_of.values() for kappa in self.kernel))
 
-    # written out, not record_to_json: one list() per table, where the rule
-    # makes one call per value, about 18 times slower at (11,3) plus
+    # written out, not the Record rule record_to_json: one list() per table,
+    # where the rule makes one call per value, about 18 times slower at (11,3) plus
     def to_json(self) -> dict:
         return {
             "p": self.p,
@@ -315,8 +313,7 @@ def enumerate_automorphisms(
     return tower
 
 
-@dataclass(frozen=True)
-class SetComparison:
+class SetComparison(Record):
     """Enumerated automorphisms vs the realized family, with witnesses."""
 
     family: str
@@ -372,8 +369,7 @@ OPERATION_PAIRS = (
 )
 
 
-@dataclass(frozen=True)
-class TrivialPairsReport:
+class TrivialPairsReport(Record):
     """The six pair searches, in ``OPERATION_PAIRS`` order."""
 
     pairs: tuple[EnumerationResult, ...]

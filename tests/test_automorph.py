@@ -648,6 +648,43 @@ C32, C33, C52 = PrimeContext(3, 2), PrimeContext(3, 3), PrimeContext(5, 2)
             "PrimeContext(p=3, precision=2) vs PrimeContext(p=3, precision=3)",
             id="compose-mul-context",
         ),
+        # a parameter of the wrong type is named, not an AttributeError
+        pytest.param(
+            lambda: AddSpec(5), ValueError, "A must be a PadicInt, got 5", id="add-spec-int"
+        ),
+        pytest.param(
+            lambda: AddSpec(True), ValueError, "A must be a PadicInt, got True", id="add-spec-bool"
+        ),
+        pytest.param(
+            lambda: MulSpec(1, 5, 5), ValueError, "a must be a PadicInt, got 5", id="mul-spec-int"
+        ),
+        pytest.param(
+            lambda: MulSpec(1, C32.one(), 5),
+            ValueError,
+            "A must be a PadicInt, got 5",
+            id="mul-spec-int-A",
+        ),
+        pytest.param(
+            lambda: XorSpec(None, ((1,),)),
+            ValueError,
+            "ctx must be a PrimeContext, got None",
+            id="xor-spec-context",
+        ),
+        pytest.param(
+            lambda: AndSpec(None, [1]),
+            ValueError,
+            "ctx must be a PrimeContext, got None",
+            id="and-spec-context",
+        ),
+        pytest.param(
+            lambda: compose_mul(1, 2), TypeError, "lhs must be a MulSpec, got 1", id="compose-mul-int"
+        ),
+        pytest.param(
+            lambda: compose_mul(MulSpec(1, C32.one(), C32.one()), AddSpec(C32.one())),
+            TypeError,
+            "rhs must be a MulSpec, got AddSpec(A=PadicInt(1 = [1, 0] base 3))",
+            id="compose-mul-add-spec",
+        ),
         pytest.param(
             lambda: analyze_custom_op(CustomOp(PrimeContext(2, 11), 0, 1, 1)),
             ValueError,
@@ -676,7 +713,7 @@ C32, C33, C52 = PrimeContext(3, 2), PrimeContext(3, 3), PrimeContext(5, 2)
     ],
 )
 def test_refusals_name_their_cause(make, error, message):
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(error) as info:
         make()
     assert type(info.value) is error
     assert str(info.value) == message
