@@ -100,14 +100,31 @@ def _chunk_table(chunks: dict, p: int, digit_op) -> tuple[int, bytes]:
     return chunks[p]
 
 
-def _digitwise(bitwise, digit_op, chunks: dict):
+def _held_chunks(ctx, held: int, digit_op) -> tuple[int, bytes]:
+    """Hold in ``ctx._chunks[held]``, and return, the (P, table) of op
+    ``held`` (0 the digit sum, 1 the product) from its per-prime store,
+    built there first if no context has run the op at this p yet.
+
+    The first run of an op on a context comes here, not to code in the
+    method, so that the method's frame has no more cells and locals than
+    it needs at p = 2 and from p = 17 on, where each one costs every call.
+    """
+    chunks = (_SUM_CHUNKS, _PRODUCT_CHUNKS)[held]
+    entry = chunks.get(ctx.p) or _chunk_table(chunks, ctx.p, digit_op)
+    sum_entry, product_entry = ctx._chunks
+    ctx._chunks = (sum_entry, entry) if held else (entry, product_entry)
+    return entry
+
+
+def _digitwise(bitwise, digit_op, held: int):
     """The ``PrimeContext`` method applying ``digit_op`` mod p digit by digit.
 
     At p = 2 it is ``bitwise`` on the residues; at odd p below
     ``_CHUNKED_BELOW`` it reads a chunk of digits per lookup from the table
-    ``_chunk_table`` keeps in ``chunks``; from p = 17 on it runs one digit at
-    a time.  The three branches sit in the one closure, not in helpers,
-    since a helper would cost a frame per op.
+    the context holds at ``_chunks[held]`` from the op's first run on it
+    (``_held_chunks``); from p = 17 on it runs one digit at a time.  The
+    three branches sit in the one closure, not in helpers, since a helper
+    would cost a frame per op.
     """
 
     def values(self, x: int, y: int) -> int:
@@ -115,15 +132,22 @@ def _digitwise(bitwise, digit_op, chunks: dict):
         if p == 2:
             return bitwise(x, y)
         if p < _CHUNKED_BELOW:
-            width, table = chunks.get(p) or _chunk_table(chunks, p, digit_op)
-            out = 0
-            scale = 1
-            while x > 0 or y > 0:
+            width, table = self._chunks[held] or _held_chunks(self, held, digit_op)
+            if x < width and y < width:
+                return table[x * width + y]
+            # the low chunk, the middle ones while either operand has more,
+            # and the last one below width, where no reduction is needed;
+            # entry 0 is 0, so a last (0, 0) chunk adds nothing
+            out = table[x % width * width + y % width]
+            x //= width
+            y //= width
+            scale = width
+            while x >= width or y >= width:
                 out += table[x % width * width + y % width] * scale
                 x //= width
                 y //= width
                 scale *= width
-            return out
+            return out + table[x * width + y] * scale
         out = 0
         scale = 1
         for _ in range(self.precision):
@@ -143,7 +167,10 @@ class PrimeContext:
     iff they agree on both p and K.
     """
 
-    __slots__ = ("p", "precision", "modulus")
+    # _chunks: the (P, table) chunk entries of xor_values and and_values,
+    # None until that op first runs on the context at an odd p below
+    # _CHUNKED_BELOW
+    __slots__ = ("p", "precision", "modulus", "_chunks")
 
     def __init__(self, p: int, precision: int):
         for name, value in (("p", p), ("precision", precision)):
@@ -158,6 +185,7 @@ class PrimeContext:
         self.p = p
         self.precision = precision
         self.modulus = p**precision
+        self._chunks = (None, None)  # a constant: a new context allocates nothing for it
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PrimeContext):
@@ -194,9 +222,9 @@ class PrimeContext:
         return value
 
     # the base-2 digits are the bits: digit sum mod 2 is XOR, digit product AND
-    xor_values = _digitwise(operator.xor, operator.add, _SUM_CHUNKS)
+    xor_values = _digitwise(operator.xor, operator.add, 0)
     xor_values.__doc__ = "Digit-wise addition mod p of two residues in [0, p**K) (no carries)."
-    and_values = _digitwise(operator.and_, operator.mul, _PRODUCT_CHUNKS)
+    and_values = _digitwise(operator.and_, operator.mul, 1)
     and_values.__doc__ = "Digit-wise multiplication mod p of two residues in [0, p**K) (no carries)."
 
     def valuation_of(self, value: int) -> int | float:

@@ -195,7 +195,8 @@ def enumerate_automorphisms(
         n = level_ctx.modulus
         tables = []
         for op in operations:
-            flat = [op.apply(level_ctx, x, y) for x in range(n) for y in range(n)]
+            apply = op.apply
+            flat = [apply(level_ctx, x, y) for x in range(n) for y in range(n)]
             tables.append(flat)
             # commutative iff every row x equals column x, the stride-n slice
             if any(flat[x * n : (x + 1) * n] != flat[x::n] for x in range(n)):

@@ -172,6 +172,14 @@ def test_each_family_is_automorphism_for_its_operation():
     assert is_automorphism(realize(AndSpec(c, [1, 1])), [AND])
 
 
+def test_digit_wise_operations_apply_the_context_methods():
+    # the class-level (ctx, x, y) methods themselves, no wrapper: the
+    # Operation contract and the traced bench, which replaces the methods on
+    # the class, both rely on it
+    assert XOR.apply is PrimeContext.xor_values
+    assert AND.apply is PrimeContext.and_values
+
+
 def test_mul_precision_contract():
     # evaluation at K agrees with evaluation at K+2 reduced back down
     for p in (3, 5):

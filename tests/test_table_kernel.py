@@ -404,12 +404,22 @@ def test_normalized_divides_by_the_leading_place(ctx):
 # references
 # ---------------------------------------------------------------------------
 
-# K not a multiple of the chunk width c (5 at p = 3, 3 at p = 5, 2 at p = 7,
-# 11 and 13), and primes from 17 on, where p**2 > 256, c would be 1 and the
-# digit loop runs
+# digits per chunk-table lookup at the odd primes below core._CHUNKED_BELOW:
+# the widest c with (p**c)**2 <= 2**16
+CHUNK_DIGITS = {3: 5, 5: 3, 7: 2, 11: 2, 13: 2}
+
+# K below the chunk width c (one short chunk), an exact multiple of it
+# ((3, 5), (3, 10), (5, 3), (5, 6), (7, 2), (7, 4), (11, 2), (13, 2), (13, 4):
+# every chunk full) and neither (a short top chunk); and primes from 17 on,
+# where p**2 > 256, c would be 1 and the digit loop runs
 DIGIT_OP_CONTEXTS = [
-    (2, 1), (2, 13), (2, 32), (3, 1), (3, 4), (3, 8), (3, 20), (5, 3), (5, 13),
-    (7, 5), (11, 3), (13, 2), (13, 3), (17, 3), (61, 2), (67, 2), (65521, 2),
+    (2, 1), (2, 13), (2, 32), (3, 1), (3, 4), (3, 5), (3, 8), (3, 10), (3, 20),
+    (5, 3), (5, 6), (5, 13), (7, 2), (7, 4), (7, 5), (11, 2), (11, 3), (13, 2),
+    (13, 3), (13, 4), (17, 3), (61, 2), (67, 2), (65521, 2),
+]
+# the contexts whose residues span more than one chunk
+MULTI_CHUNK_CONTEXTS = [
+    (p, K) for p, K in DIGIT_OP_CONTEXTS if p in CHUNK_DIGITS and K > CHUNK_DIGITS[p]
 ]
 
 
@@ -429,11 +439,43 @@ def test_digit_wise_ops_match_per_digit_reference(data):
         st.just(0), st.just(ctx.modulus - 1), st.integers(0, ctx.modulus - 1), low
     )
     x, y = data.draw(residue, label="x"), data.draw(residue, label="y")
+    # one operand within the first chunk, the other past it, either way
+    # round; without a chunk table the width is taken as p**K, which no
+    # residue passes
+    width = ctx.p ** CHUNK_DIGITS.get(ctx.p, ctx.precision)
+    if ctx.modulus > width and data.draw(st.booleans(), label="straddle"):
+        x = data.draw(st.integers(0, width - 1), label="below width")
+        y = data.draw(st.integers(width, ctx.modulus - 1), label="at or above width")
+        if data.draw(st.booleans(), label="swap"):
+            x, y = y, x
     assert ctx.xor_values(x, y) == reference_digit_op(ctx, x, y, lambda a, b: a + b)
     assert ctx.and_values(x, y) == reference_digit_op(ctx, x, y, lambda a, b: a * b)
 
 
-@pytest.mark.parametrize("p,c", [(3, 5), (5, 3), (7, 2), (11, 2), (13, 2)])
+@pytest.mark.parametrize("p,K", MULTI_CHUNK_CONTEXTS)
+def test_digit_wise_ops_at_the_chunk_edges(p, K):
+    # operands at the edges of the first and second chunk and the largest
+    # residue, every pair of them, so each operand ends its chunks first
+    ctx, width = PrimeContext(p, K), p ** CHUNK_DIGITS[p]
+    edges = (0, 1, width - 1, width, width + 1, width**2 - 1, ctx.modulus - 1)
+    edges = [v for v in edges if v < ctx.modulus]
+    for x in edges:
+        for y in edges:
+            assert ctx.xor_values(x, y) == reference_digit_op(ctx, x, y, operator.add), (x, y)
+            assert ctx.and_values(x, y) == reference_digit_op(ctx, x, y, operator.mul), (x, y)
+
+
+@pytest.mark.parametrize("p,K", [(5, 3), (7, 2)])
+@pytest.mark.parametrize("digit_op", [operator.add, operator.mul], ids=["sum", "product"])
+def test_digit_wise_ops_on_every_pair_of_one_chunk(p, K, digit_op):
+    ctx = PrimeContext(p, K)
+    method = ctx.xor_values if digit_op is operator.add else ctx.and_values
+    for x in range(ctx.modulus):
+        for y in range(ctx.modulus):
+            assert method(x, y) == reference_digit_op(ctx, x, y, digit_op), (x, y)
+
+
+@pytest.mark.parametrize("p,c", sorted(CHUNK_DIGITS.items()))
 @pytest.mark.parametrize("digit_op", [operator.add, operator.mul], ids=["sum", "product"])
 def test_chunk_tables_match_per_digit_reference(p, c, digit_op):
     ctx, width = PrimeContext(p, c), p**c
@@ -455,6 +497,36 @@ def test_chunk_tables_are_built_on_first_use_only():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-500:]
     assert proc.stdout.splitlines() == ["[] []", "[3] []"]
+
+
+def test_building_contexts_builds_no_chunk_table():
+    # the contexts of every odd chunked prime, and the per-level ones a search
+    # builds, take no table from the stores until xor or and runs on them
+    script = (
+        "from padiclab import core, PrimeContext, enumerate_automorphisms\n"
+        "contexts = [PrimeContext(p, K) for p in (3, 5, 7, 11, 13) for K in (1, 2, 9)]\n"
+        "enumerate_automorphisms(PrimeContext(3, 3), ['plus', 'times'])\n"
+        "print(sorted(core._SUM_CHUNKS), sorted(core._PRODUCT_CHUNKS))\n"
+        "print(all(ctx._chunks == (None, None) for ctx in contexts))\n"
+        "enumerate_automorphisms(PrimeContext(5, 2), ['xor'])\n"
+        "print(sorted(core._SUM_CHUNKS), sorted(core._PRODUCT_CHUNKS))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout.splitlines() == ["[] []", "True", "[5] []"]
+
+
+@pytest.mark.parametrize("p,K", [(2, 8), (3, 4), (3, 8), (13, 3), (17, 2)])
+def test_a_context_that_ran_the_ops_equals_a_fresh_one(p, K):
+    ctx = PrimeContext(p, K)
+    ctx.xor_values(ctx.modulus - 1, 1)
+    ctx.and_values(ctx.modulus - 1, 1)
+    fresh = PrimeContext(p, K)
+    assert ctx == fresh and hash(ctx) == hash(fresh)
+    assert {ctx: 1}[fresh] == 1
+    if p in CHUNK_DIGITS:
+        # the context holds the process-wide tables, not copies of them
+        assert ctx._chunks[0] is core._SUM_CHUNKS[p] and ctx._chunks[1] is core._PRODUCT_CHUNKS[p]
 
 
 def reference_vdp_coefficients(f):
