@@ -64,10 +64,13 @@ def _check_table_size(ctx: PrimeContext) -> None:
 def _assemble(p: int, levels) -> list[int]:
     """The table of digit maps given as flat levels, phi_{k,a}(d) at level[a*p + d].
 
-    table[a + d*p**k] = table[a] + phi_{k,a}(d) * p**k with table[a] the value
-    on the k low digits, so column d is level[d::p]; O(p**K) in all.
+    Level 0 holds the one map phi_{0,0}, so it is the table on one digit as
+    it stands.  Each later level k extends it as table[a + d*p**k] =
+    table[a] + phi_{k,a}(d) * p**k with table[a] the value on the k low
+    digits, so column d is level[d::p]; O(p**K) in all.
     """
-    table, block = [0], 1
+    levels = iter(levels)
+    table, block = list(next(levels)), p
     for level in levels:
         table = [v + digit * block for d in range(p) for v, digit in zip(table, level[d::p])]
         block *= p
@@ -340,7 +343,7 @@ def preserves_measure_vdp(f: LipschitzFn) -> CriterionReport:
     """
     ctx = f.ctx
     p, table = ctx.p, f.table
-    if {v % p for v in table[:p]} != set(range(p)):
+    if len({v % p for v in table[:p]}) != p:
         return CriterionReport(
             ok=False, failure=(0, 0), detail="base coefficients not a complete residue system"
         )
@@ -409,14 +412,17 @@ def is_bijective_mod(f: LipschitzFn, k: int) -> bool:
     For a tower-compatible f, level K decides every level: f mod p**k
     composed with reduction from p**K is reduction composed with f mod
     p**K, so it is onto when f mod p**K is, and an onto self-map of a
-    finite set is a bijection.
+    finite set is a bijection.  The first p**k values, reduced mod p**k,
+    are a permutation iff they are distinct; at k = K every value is
+    already a residue, so the table itself is the set.
     """
     if type(k) is not int:  # bools are not levels
         raise ValueError(f"level must be an int, got {k!r}")
     if not (1 <= k <= f.ctx.precision):
         raise ValueError(f"level {k} outside [1, {f.ctx.precision}]")
     block = f.ctx.p**k
-    # block values, all in [0, block): a permutation iff they are distinct
+    if k == f.ctx.precision:
+        return len(set(f.table)) == block
     return len({v % block for v in f.table[:block]}) == block
 
 
@@ -453,19 +459,29 @@ def random_measure_preserving(ctx: PrimeContext, rng: random.Random) -> Lipschit
     and prefix by prefix: the same Fisher-Yates swaps, where position i swaps
     with a draw below i + 1.  Raises ValueError, before building anything,
     when ``rng`` is not a ``random.Random`` or the table is over the size cap.
+
+    Each level is held digit-major and pre-scaled, phi_{k,a}(d) * p**k at
+    level[d*p**k + a], so the swaps for prefix a run down the stride-p**k
+    column a and the level joins the table in one pass, table[a + d*p**k] =
+    table[a] + level[d*p**k + a], with no transposition.
     """
     _check_rng(rng)
     _check_table_size(ctx)
     p = ctx.p
-    levels = [list(range(p)) * p**k for k in range(ctx.precision)]
     swaps = [(i, _uniform_draws(rng, i + 1)) for i in reversed(range(1, p))]
-    for level in levels:
-        for start in range(0, len(level), p):
+    table, block = [0], 1
+    for _ in range(ctx.precision):
+        level = []
+        for d in range(p):
+            level += [d * block] * block
+        for a in range(block):
             for i, draws in swaps:
-                i += start
-                j = start + next(draws)
+                i = i * block + a
+                j = next(draws) * block + a
                 level[i], level[j] = level[j], level[i]
-    return LipschitzFn._trusted(ctx, _assemble(p, levels), "random_measure_preserving")
+        table = list(map(add, table * p, level))
+        block *= p
+    return LipschitzFn._trusted(ctx, table, "random_measure_preserving")
 
 
 def iter_all_lipschitz(ctx: PrimeContext):

@@ -67,6 +67,8 @@ def test_uniform_draws_are_randrange_values_and_state(n, seed):
 
 CONTEXTS = [(2, k) for k in range(1, 7)] + [(3, k) for k in range(1, 5)]
 CONTEXTS += [(5, k) for k in range(1, 4)] + [(7, 1), (7, 2)]
+# the swap bounds p..2 take 4, 3 and 2 bits here; below p = 11 none takes 4
+CONTEXTS += [(11, 1), (11, 2), (13, 2)]
 
 
 @pytest.mark.parametrize("p,K", CONTEXTS)
