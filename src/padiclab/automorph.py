@@ -20,6 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import threading
+from array import array
 from collections.abc import Callable
 
 from .core import (
@@ -46,6 +48,11 @@ from .lipschitz import (
 
 # above this table size homomorphism checks switch to seeded random pairs
 EXHAUSTIVE_PAIR_LIMIT = 2**10
+# a context holds the random-mode pairs of at most this many samples, the
+# default, 800 KB at 4 bytes an operand
+_HELD_PAIRS = 100_000
+# reentrant, so that an op whose apply runs a check cannot deadlock
+_HELD_LOCK = threading.RLock()
 
 
 class Operation(Record):
@@ -527,9 +534,16 @@ def is_homomorphism(
     ``op`` is an operation or the name of a builtin one.  Exhaustive mode
     scans pairs in lexicographic order and reports the first counterexample;
     otherwise ``samples`` random pairs are drawn, each x then y the values
-    ``random.Random(seed).randrange(p**K)`` would give.  Raises ValueError,
-    before checking anything, for an unknown operation name, when ``samples``
-    is not an int of at least 1, or when ``seed`` is not an int.
+    ``random.Random(seed).randrange(p**K)`` would give.  These are a function
+    of (seed, p**K) alone, so the context holds those it has drawn for the
+    last seed it was asked (at most 100,000 pairs, 800 KB) with the rng that
+    drew them, and a later check reads them and draws only the missing ones,
+    in doubling chunks of 64 to 8,192 pairs; a check at another seed
+    replaces them, and a larger sample streams from a fresh rng and holds
+    nothing.  Random-mode checks take turns under one lock, so every report
+    is what a fresh rng would give, from any thread.  Raises ValueError,
+    before checking anything, for an unknown operation name, when
+    ``samples`` is not an int of at least 1, or when ``seed`` is not an int.
     """
     op = operation_by_name(op)
     if type(samples) is not int or samples < 1:
@@ -547,11 +561,31 @@ def is_homomorphism(
                 if table[apply(ctx, x, y)] != apply(ctx, fx, table[y]):
                     return HomReport(False, (x, y), "exhaustive", x * n + y + 1)
         return HomReport(True, None, "exhaustive", n * n)
-    draws = _uniform_draws(random.Random(seed), n)
-    for i, x, y in zip(range(samples), draws, draws):
-        if table[apply(ctx, x, y)] != apply(ctx, table[x], table[y]):
-            return HomReport(False, (x, y), "random", i + 1)
-    return HomReport(True, None, "random", samples)
+    stream = samples > _HELD_PAIRS  # so that what is held stays bounded
+    with _HELD_LOCK:  # one check at a time reads and extends the held operands
+        held = ctx._operands
+        if stream or held is None or held[0] != seed:
+            held = (seed, array("I"), random.Random(seed))
+        _, values, rng = held
+        draws = _uniform_draws(rng, n)
+        start, end, chunk = 0, min(samples, len(values) // 2), values
+        while True:
+            operands = iter(chunk)
+            for i, x, y in zip(range(start, end), operands, operands):
+                if table[apply(ctx, x, y)] != apply(ctx, table[x], table[y]):
+                    return HomReport(False, (x, y), "random", i + 1)
+            if end == samples:
+                return HomReport(True, None, "random", samples)
+            if stream:
+                start, end, chunk = end, samples, draws
+                continue
+            # doubling, so a check failing at pair i draws at most max(128, 4i)
+            # operands; capped, so no chunk list outgrows 16,384 values
+            start, end = end, min(samples, max(64, 2 * end), end + 8192)
+            ctx._operands = None  # a draw cut short leaves the rng past the values
+            chunk = list(itertools.islice(draws, 2 * (end - start)))
+            values.fromlist(chunk)
+            ctx._operands = held
 
 
 def is_automorphism(f: LipschitzFn, ops) -> bool:

@@ -169,8 +169,11 @@ class PrimeContext:
 
     # _chunks: the (P, table) chunk entries of xor_values and and_values,
     # None until that op first runs on the context at an odd p below
-    # _CHUNKED_BELOW
-    __slots__ = ("p", "precision", "modulus", "_chunks")
+    # _CHUNKED_BELOW.  _operands: None until a random-mode homomorphism
+    # check first runs on the context, then (seed, array of the operands
+    # drawn for that seed so far, the random.Random that drew them, left
+    # just past the last one); a check at another seed replaces it
+    __slots__ = ("p", "precision", "modulus", "_chunks", "_operands")
 
     def __init__(self, p: int, precision: int):
         for name, value in (("p", p), ("precision", precision)):
@@ -186,6 +189,7 @@ class PrimeContext:
         self.precision = precision
         self.modulus = p**precision
         self._chunks = (None, None)  # a constant: a new context allocates nothing for it
+        self._operands = None
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PrimeContext):

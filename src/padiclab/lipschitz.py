@@ -276,16 +276,24 @@ def vdp_inverse(series: VdpSeries) -> LipschitzFn:
     B_m = f(m) for m < p).  Those sums obey f(x) = f(rest) + B_x for
     x in [p**n, p**(n+1)) and rest = x mod p**n, so the table is built in
     one O(p**K) pass, one digit place n at a time.  A coefficient that is
-    not an int is refused first, by index; compatibility of the result
-    revalidates the coefficient divisibility through from_table.
+    not an int is refused first, by index.  Every entry is reduced mod p**K,
+    so it is an int in range, and since p**n divides p**K the table is tower
+    compatible iff p**n divides every B_x of place n: the coefficients are
+    checked for that as they are read, and only a table that fails goes
+    through from_table, whose scan names the witness.
     """
     ctx = series.ctx
     coeffs, modulus, p = series.coefficients, ctx.modulus, ctx.p
     _check_coefficients(coeffs)
     table = [b % modulus for b in coeffs[:p]]
+    compatible = True
     for n in range(1, ctx.precision):
         block = p**n
-        table += [(v + b) % modulus for v, b in zip(table * (p - 1), coeffs[block : block * p])]
+        place = coeffs[block : block * p]
+        compatible = compatible and not any(b % block for b in place)
+        table += [(v + b) % modulus for v, b in zip(table * (p - 1), place)]
+    if compatible:
+        return LipschitzFn._trusted(ctx, table, "vdp_inverse")
     return LipschitzFn.from_table(ctx, table, provenance="vdp_inverse")
 
 

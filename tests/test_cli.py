@@ -1047,45 +1047,35 @@ def test_enumerate_stdout_matches_pinned_digest(capsys, argv, count):
 # sha256 of stdout built by the result records' one JSON rule, recorded
 # before the records shared it: the README check-hom on the make-aut output
 # written to AUT (exhaustive mode), check-hom on x -> -x mod 2**11 (random
-# mode, two counterexamples) and the README cipher demo, whose record nests
-# the formula and its words
-NEGATE_2_11 = json.dumps({"p": 2, "K": 11, "table": [-x % 2**11 for x in range(2**11)]})
-
-
-@pytest.mark.parametrize(
-    "argv,digest",
-    [
-        pytest.param(
-            ["check-hom", "--in", "@AUT", "--ops", "xor,plus"],
-            "e4df7d3b77a6dec6963bee870fe42b851c8582cdea736e939211cc6f03c11b47",
-            id="check-hom-readme",
-        ),
-        pytest.param(
-            ["check-hom", "--in", NEGATE_2_11, "--ops", "plus,times,xor", "--seed", "3"],
-            "96d78d5bd26aa8a48b21a0b71b94c387d3c3de95ca2b4021cb776e44cec89282",
-            id="check-hom-random",
-        ),
-        pytest.param(
-            [
-                "cipher", "demo", "--key", '{"kind":"keystream","p":2,"gamma":[1,0,1]}',
-                "--formula", '["xor",["leaf",0],["leaf",1]]',
-                "--data", '[{"p":2,"symbols":[1,0,1]},{"p":2,"symbols":[0,1,1]}]',
-            ],
-            "23c6b2947730bee53e300931c0ae3e8e560116d6017e0fd9353dbdf0de871a4c",
-            id="cipher-demo-readme",
-        ),
-    ],
+# mode, two counterexamples; three ops on one context, so the second and
+# third read the operands the first drew) and the README cipher demo, whose
+# record nests the formula and its words
+RECORD_DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "record_stdout_sha256.json").read_text()
 )
-def test_record_stdout_matches_pinned_digest(tmp_path, capsys, argv, digest):
+NEGATE_2_11 = json.dumps({"p": 2, "K": 11, "table": [-x % 2**11 for x in range(2**11)]})
+RECORD_ARGV = {
+    "check-hom-readme": ["check-hom", "--in", "@AUT", "--ops", "xor,plus"],
+    "check-hom-random": ["check-hom", "--in", NEGATE_2_11, "--ops", "plus,times,xor", "--seed", "3"],
+    "cipher-demo-readme": [
+        "cipher", "demo", "--key", '{"kind":"keystream","p":2,"gamma":[1,0,1]}',
+        "--formula", '["xor",["leaf",0],["leaf",1]]',
+        "--data", '[{"p":2,"symbols":[1,0,1]},{"p":2,"symbols":[0,1,1]}]',
+    ],
+}
+
+
+@pytest.mark.parametrize("name", RECORD_ARGV)
+def test_record_stdout_matches_pinned_digest(tmp_path, capsys, name):
     code, aut = run_cli(
         capsys, "make-aut", "--p", "3", "--K", "2", "--spec", '{"family":"xor","alpha":[[2],[1,2]]}'
     )
     assert code == 0
     (tmp_path / "aut.json").write_text(aut)
-    argv = [f"@{tmp_path / 'aut.json'}" if a == "@AUT" else a for a in argv]
+    argv = [f"@{tmp_path / 'aut.json'}" if a == "@AUT" else a for a in RECORD_ARGV[name]]
     code, out = run_cli(capsys, *argv)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256(out.encode()).hexdigest() == RECORD_DIGESTS[name]
 
 
 def test_report_pretty_output(tmp_path, capsys):

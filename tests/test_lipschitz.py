@@ -186,6 +186,55 @@ def test_vdp_inverse_rejects_bad_divisibility():
         vdp_inverse(series)
 
 
+def reference_vdp_table(ctx, coefficients):
+    """f(x) = B_x for x < p, else f(x mod p**n) + B_x for p**n <= x < p**(n+1),
+    mod p**K, one argument at a time."""
+    table = []
+    for x, b in enumerate(coefficients):
+        block = 1
+        while block * ctx.p <= x:
+            block *= ctx.p
+        table.append((b + (table[x % block] if x >= ctx.p else 0)) % ctx.modulus)
+    return table
+
+
+@pytest.mark.parametrize("p,K", [(2, 5), (3, 4), (5, 3), (7, 2)])
+def test_vdp_inverse_names_the_witness_from_table_names(p, K):
+    # every coefficient divisible by its p**n but one, at each place in turn
+    # and at the top place (n = K - 1) last
+    ctx = PrimeContext(p, K)
+    rng = random.Random(p * K)
+    for i in range(12):
+        for n in range(1, K):
+            block = p**n
+            B = list(vdp_transform(random_lipschitz(ctx, rng)).coefficients)
+            B[rng.randrange(block, block * p)] += rng.choice([1, -1]) * rng.randrange(1, block)
+            table = reference_vdp_table(ctx, B)
+            with pytest.raises(CompatibilityViolation) as ours:
+                vdp_inverse(VdpSeries(ctx, tuple(B)))
+            with pytest.raises(CompatibilityViolation) as theirs:
+                LipschitzFn.from_table(ctx, table)
+            witness = (ours.value.x, ours.value.y, ours.value.level)
+            assert witness == (theirs.value.x, theirs.value.y, theirs.value.level)
+            assert witness == naive_first_violation(ctx, table)
+
+
+@pytest.mark.parametrize("p,K", [(2, 6), (3, 4), (5, 3), (7, 2)])
+def test_vdp_inverse_reads_unreduced_coefficients(p, K):
+    ctx = PrimeContext(p, K)
+    rng = random.Random(K)
+    for i in range(10):
+        f = random_lipschitz(ctx, rng) if i % 2 else random_measure_preserving(ctx, rng)
+        B = vdp_transform(f).coefficients
+        shifted = tuple(b + rng.choice([-2, -1, 1, 3]) * ctx.modulus for b in B)
+        negative = tuple(b - ctx.modulus for b in B)
+        for coefficients in (shifted, negative):
+            g = vdp_inverse(VdpSeries(ctx, coefficients))
+            assert g == f and g.provenance == "vdp_inverse"
+            assert all(type(v) is int and 0 <= v < ctx.modulus for v in g.table)
+            assert list(g.table) == reference_vdp_table(ctx, coefficients)
+
+
 def test_measure_vdp_examples():
     ctx = PrimeContext(3, 2)
     assert preserves_measure_vdp(identity(ctx)).ok
