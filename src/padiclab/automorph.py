@@ -23,6 +23,7 @@ import random
 import threading
 from array import array
 from collections.abc import Callable
+from operator import length_hint
 
 from .core import (
     ContextMismatch,
@@ -51,8 +52,8 @@ EXHAUSTIVE_PAIR_LIMIT = 2**10
 # a context holds the random-mode pairs of at most this many samples, the
 # default, 800 KB at 4 bytes an operand
 _HELD_PAIRS = 100_000
-# reentrant, so that an op whose apply runs a check cannot deadlock
-_HELD_LOCK = threading.RLock()
+# held while a check reads or extends a context's operands; no op runs under it
+_HELD_LOCK = threading.Lock()
 
 
 class Operation(Record):
@@ -538,12 +539,14 @@ def is_homomorphism(
     of (seed, p**K) alone, so the context holds those it has drawn for the
     last seed it was asked (at most 100,000 pairs, 800 KB) with the rng that
     drew them, and a later check reads them and draws only the missing ones,
-    in doubling chunks of 64 to 8,192 pairs; a check at another seed
+    in doubling chunks of 64 to 2,048 pairs; a check at another seed
     replaces them, and a larger sample streams from a fresh rng and holds
-    nothing.  Random-mode checks take turns under one lock, so every report
-    is what a fresh rng would give, from any thread.  Raises ValueError,
-    before checking anything, for an unknown operation name, when
-    ``samples`` is not an int of at least 1, or when ``seed`` is not an int.
+    nothing.  Only the draws run under a lock, and each check reads its
+    pairs from the held values by index, so every report is what a fresh
+    rng would give, from any thread and from a check that an op's apply
+    runs.  Raises ValueError, before checking anything, for an unknown
+    operation name, when ``samples`` is not an int of at least 1, or when
+    ``seed`` is not an int.
     """
     op = operation_by_name(op)
     if type(samples) is not int or samples < 1:
@@ -561,31 +564,38 @@ def is_homomorphism(
                 if table[apply(ctx, x, y)] != apply(ctx, fx, table[y]):
                     return HomReport(False, (x, y), "exhaustive", x * n + y + 1)
         return HomReport(True, None, "exhaustive", n * n)
-    stream = samples > _HELD_PAIRS  # so that what is held stays bounded
-    with _HELD_LOCK:  # one check at a time reads and extends the held operands
-        held = ctx._operands
-        if stream or held is None or held[0] != seed:
-            held = (seed, array("I"), random.Random(seed))
-        _, values, rng = held
-        draws = _uniform_draws(rng, n)
-        start, end, chunk = 0, min(samples, len(values) // 2), values
-        while True:
-            operands = iter(chunk)
-            for i, x, y in zip(range(start, end), operands, operands):
-                if table[apply(ctx, x, y)] != apply(ctx, table[x], table[y]):
-                    return HomReport(False, (x, y), "random", i + 1)
-            if end == samples:
-                return HomReport(True, None, "random", samples)
-            if stream:
-                start, end, chunk = end, samples, draws
-                continue
-            # doubling, so a check failing at pair i draws at most max(128, 4i)
-            # operands; capped, so no chunk list outgrows 16,384 values
-            start, end = end, min(samples, max(64, 2 * end), end + 8192)
-            ctx._operands = None  # a draw cut short leaves the rng past the values
+    # past the held bound the pairs stream from a fresh rng, so that what is
+    # held stays bounded
+    draws = _uniform_draws(random.Random(seed), n) if samples > _HELD_PAIRS else None
+    start = 0
+    while start < samples:
+        # doubling, so that a check failing at pair i draws at most
+        # max(128, 4i) operands; capped, so that no chunk outgrows 4,096 values
+        end = min(samples, max(64, 2 * start), start + 2048)
+        if draws is not None:
             chunk = list(itertools.islice(draws, 2 * (end - start)))
-            values.fromlist(chunk)
-            ctx._operands = held
+        else:
+            with _HELD_LOCK:  # only draws run under it, never an op
+                held = ctx._operands
+                if held is None or held[0] != seed:
+                    held = (seed, array("I"), random.Random(seed))
+                values, have = held[1], len(held[1]) // 2
+                if have < end:
+                    # from pair have, which lies before start only when a
+                    # check at another seed replaced what was held meanwhile
+                    ctx._operands = None  # a draw cut short leaves the rng past the values
+                    chunk = list(itertools.islice(_uniform_draws(held[2], n), 2 * (end - have)))
+                    values.fromlist(chunk)
+                ctx._operands = held
+            if have != start:  # the chunk was held, in part or whole: read it by index
+                chunk = values[2 * start : 2 * end].tolist()
+        operands = iter(chunk)
+        for x, y in zip(operands, operands):
+            if table[apply(ctx, x, y)] != apply(ctx, table[x], table[y]):
+                # the pairs left in the chunk are those after this one
+                return HomReport(False, (x, y), "random", end - length_hint(operands) // 2)
+        start = end
+    return HomReport(True, None, "random", samples)
 
 
 def is_automorphism(f: LipschitzFn, ops) -> bool:

@@ -172,7 +172,8 @@ class PrimeContext:
     # _CHUNKED_BELOW.  _operands: None until a random-mode homomorphism
     # check first runs on the context, then (seed, array of the operands
     # drawn for that seed so far, the random.Random that drew them, left
-    # just past the last one); a check at another seed replaces it
+    # just past the last one); a check at another seed replaces it.  A copy
+    # or a pickle of a context holds neither
     __slots__ = ("p", "precision", "modulus", "_chunks", "_operands")
 
     def __init__(self, p: int, precision: int):
@@ -198,6 +199,10 @@ class PrimeContext:
 
     def __hash__(self) -> int:
         return hash((self.p, self.precision))
+
+    def __reduce__(self):
+        # a copy or a pickle is a new context: it shares and carries nothing held
+        return PrimeContext, (self.p, self.precision)
 
     def __repr__(self) -> str:
         return f"PrimeContext(p={self.p}, precision={self.precision})"

@@ -279,20 +279,17 @@ def vdp_inverse(series: VdpSeries) -> LipschitzFn:
     not an int is refused first, by index.  Every entry is reduced mod p**K,
     so it is an int in range, and since p**n divides p**K the table is tower
     compatible iff p**n divides every B_x of place n: the coefficients are
-    checked for that as they are read, and only a table that fails goes
-    through from_table, whose scan names the witness.
+    checked for that, and only a table that fails goes through from_table,
+    whose scan names the witness.
     """
     ctx = series.ctx
     coeffs, modulus, p = series.coefficients, ctx.modulus, ctx.p
     _check_coefficients(coeffs)
     table = [b % modulus for b in coeffs[:p]]
-    compatible = True
-    for n in range(1, ctx.precision):
-        block = p**n
-        place = coeffs[block : block * p]
-        compatible = compatible and not any(b % block for b in place)
-        table += [(v + b) % modulus for v, b in zip(table * (p - 1), place)]
-    if compatible:
+    blocks = [p**n for n in range(1, ctx.precision)]
+    for block in blocks:
+        table += [(v + b) % modulus for v, b in zip(table * (p - 1), coeffs[block : block * p])]
+    if not any(b % block for block in blocks for b in coeffs[block : block * p]):
         return LipschitzFn._trusted(ctx, table, "vdp_inverse")
     return LipschitzFn.from_table(ctx, table, provenance="vdp_inverse")
 

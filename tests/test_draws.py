@@ -6,7 +6,9 @@ they were written on ``randrange`` and ``shuffle``; the library must give
 their tables, pairs and generator state exactly.
 """
 
+import copy
 import itertools
+import pickle
 import random
 import sys
 import threading
@@ -19,6 +21,7 @@ from padiclab import (
     AddSpec,
     LipschitzFn,
     MulSpec,
+    Operation,
     PLUS,
     PrimeContext,
     TIMES,
@@ -215,11 +218,53 @@ def test_a_draw_cut_short_leaves_nothing_held():
     check_against_reference(ctx, planted(ctx, 1, 1001), XOR, 0, 3000)
 
 
+def test_a_check_that_an_op_runs_does_not_shift_the_pairs_of_its_caller():
+    # the op's apply runs checks on the same context, at the caller's seed
+    # and at another, each drawing past what the caller has read so far;
+    # the callers fail late, so pairs read out of place would show
+    ctx = PrimeContext(2, 11)
+    inner_maps = [LipschitzFn.from_table(ctx, range(ctx.modulus)), planted(ctx, 1, 1005)]
+    nested = []
+    calls = itertools.count(1)
+
+    def apply(c, x, y):
+        if next(calls) % 97 == 0 and len(nested) < 30:
+            k = len(nested)
+            f, seed, samples = inner_maps[k % 4 // 2], k % 2 * 3, 50 + 300 * k
+            report = is_homomorphism(f, PLUS, seed=seed, samples=samples)
+            assert (report.counterexample, report.checked) == reference_random_pairs(
+                f, PLUS, seed, samples
+            )
+            nested.append(k)
+        return PLUS.apply(c, x, y)
+
+    nesting = Operation("plus", apply)
+    for f in [planted(ctx, 1, 1003), planted(ctx, 1, 1002)]:  # failing at 1277 and 673
+        report = is_homomorphism(f, nesting, samples=3000)
+        assert (report.counterexample, report.checked) == reference_random_pairs(f, PLUS, 0, 3000)
+    assert len(nested) == 30
+
+
+def test_copies_and_pickles_of_a_context_hold_nothing():
+    ctx = PrimeContext(3, 7)
+    f = planted(ctx, 1, 1001)
+    check_against_reference(ctx, f, XOR, 0, 3000)
+    held = ctx._operands
+    for other in (copy.copy(ctx), copy.deepcopy(ctx), pickle.loads(pickle.dumps(ctx))):
+        assert type(other) is PrimeContext and other == ctx and hash(other) == hash(ctx)
+        assert other._operands is None and other._chunks == (None, None)
+        check_against_reference(other, LipschitzFn.from_table(other, f.table), PLUS, 3, 700)
+        assert ctx._operands is held
+    check_against_reference(ctx, f, AND, 0, 4000)
+
+
 def test_checks_from_several_threads_give_the_reference_pairs():
     # threads that share one context and one seed, each extending what the
     # others drew, with a thread switch forced about every microsecond
     ctx = PrimeContext(2, 11)
     cases = [(planted(ctx, 1, 1000 + k), 2000 + 1000 * k) for k in range(6)]
+    identity = LipschitzFn.from_table(ctx, range(ctx.modulus))
+    cases += [(identity, 20_000 + 7_000 * k) for k in range(3)]  # drawing till the end
     expected = [reference_random_pairs(f, PLUS, 0, samples) for f, samples in cases]
     got = {}
 
@@ -239,6 +284,7 @@ def test_checks_from_several_threads_give_the_reference_pairs():
             for thread in threads:
                 thread.join(timeout=60)
                 assert not thread.is_alive()
+            assert_held_operands_are_the_seeds(ctx)
     finally:
         sys.setswitchinterval(interval)
     assert [got[k] for k in range(len(cases))] == [[pairs] * 5 for pairs in expected]
@@ -266,13 +312,16 @@ def peak_allocation(call):
 def test_no_check_allocates_storage_that_grows_with_its_sample():
     ctx = PrimeContext(2, 11)
     identity = LipschitzFn.from_table(ctx, range(ctx.modulus))
-    # streamed: 300,000 operands held would take 1.2 MB
-    assert peak_allocation(lambda: is_homomorphism(identity, PLUS, samples=150_000)) < 100_000
+    # streamed: at most two chunk lists of 4,096 values alive, about 0.3 MB,
+    # where 300,000 operands held would take 1.2 MB as an array
+    assert peak_allocation(lambda: is_homomorphism(identity, PLUS, samples=150_000)) < 400_000
     assert ctx._operands is None
-    # held: the 800 KB array and one chunk of at most 16,384 values (about
-    # 1.9 MB in all); a last chunk of 34,464 pairs, uncapped, took 5.3 MB
-    assert peak_allocation(lambda: is_homomorphism(identity, PLUS)) < 3_000_000
+    # held: the 800 KB array and the chunks (about 1.1 MB in all); a last
+    # chunk of 34,464 pairs, uncapped, took 5.3 MB
+    assert peak_allocation(lambda: is_homomorphism(identity, PLUS)) < 1_500_000
     assert len(ctx._operands[1]) == 200_000
+    # read again: a chunk of the held values at a time, nothing new held
+    assert peak_allocation(lambda: is_homomorphism(identity, PLUS)) < 400_000
 
 
 @pytest.mark.parametrize("p,K", [(2, 11), (3, 7)])
