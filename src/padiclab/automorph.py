@@ -7,7 +7,10 @@ addition, and digit-power maps for carry-free multiplication.  The family
 parameters carry exactly the constraints that make the realized tables
 invertible, so every realized spec is an automorphism for its operation.
 Each family's parameter space mod p**k, its size and the tables of all its
-members live here too, for the oracle to compare its search against.
+members live here too, for the oracle to compare its search against, and
+generators of the add, xor and and families: each of these is a group with
+an injective parametrisation, so it equals a group that holds its
+generators and has its size, which is how ``verify`` checks it.
 
 Also here: homomorphism checking against any binary operation (including
 custom operations given by a truncated double power series), the parameter
@@ -487,27 +490,44 @@ def family_tables(ctx: PrimeContext, family: str) -> set[tuple[int, ...]]:
     return set(_digit_tables(p, _digit_levels(ctx, family)))
 
 
-def xor_generators(ctx: PrimeContext) -> list[XorSpec]:
-    """Generators of the xor family, the lower-triangular invertible matrices mod p.
+def family_generators(ctx: PrimeContext, family: str) -> list[AutSpec]:
+    """Generators of the "add", "xor" or "and" family, each a group under composition.
 
-    The elementary matrices, the identity with a 1 at one place below the
-    diagonal, generate the unitriangular matrices; at odd p, one diagonal
-    matrix per level, with a primitive root mod p at that level and 1 at
-    every other, generates the diagonal ones.  Every member is a diagonal
-    matrix times a unitriangular one.
+    add: the units mod p**K, a root of unity times a principal unit as in
+    ``_mul_table``: -1 and 5 at p = 2; at odd p, the Teichmueller lift of a
+    primitive root mod p, of order p - 1, and 1 + p.
+    xor: the lower-triangular invertible matrices mod p.  The elementary
+    matrices, the identity with a 1 at one place below the diagonal,
+    generate the unitriangular ones; at odd p, one diagonal matrix per level,
+    with the primitive root at that level and 1 at every other, generates
+    the diagonal ones.  Every member is a diagonal matrix times a
+    unitriangular one.
+    and: the exponents coprime to p - 1 compose by multiplication mod p - 1
+    on each level apart, so each one other than 1 at one level, with 1 at
+    every other, generates.
+
+    Not a generator function, so "mul" and an unknown family are refused
+    (ValueError) at the call.
     """
     p, K = ctx.p, ctx.precision
+    # 1 is the primitive root mod 2, and at odd p a power of 1 is never one
+    root = next(g for g in range(1, p) if len({pow(g, e, p) for e in range(1, p)}) == p - 1)
+    if family == "add":
+        units = (-1, 5) if p == 2 else (teichmuller(ctx.integer(root)).value, 1 + p)
+        return [AddSpec(ctx.integer(A)) for A in units]
+    if family == "xor":
 
-    def spec(k: int, i: int, c: int) -> XorSpec:
-        rows = [[int(col == row) for col in range(row + 1)] for row in range(K)]
-        rows[k][i] = c
-        return XorSpec(ctx, tuple(map(tuple, rows)))
+        def matrix(k: int, i: int, c: int) -> XorSpec:  # the identity with c at row k, column i
+            rows = [[int(col == row) for col in range(row + 1)] for row in range(K)]
+            rows[k][i] = c
+            return XorSpec(ctx, tuple(map(tuple, rows)))
 
-    generators = [spec(k, i, 1) for k in range(K) for i in range(k)]
-    if p > 2:
-        root = next(g for g in range(2, p) if len({pow(g, e, p) for e in range(1, p)}) == p - 1)
-        generators += [spec(k, k, root) for k in range(K)]
-    return generators
+        diagonal = [matrix(k, k, root) for k in range(K) if p > 2]
+        return [matrix(k, i, 1) for k in range(K) for i in range(k)] + diagonal
+    if family == "and":
+        levels = [(1,) * k + (e,) + (1,) * (K - 1 - k) for k in range(K) for e in _coprime_exponents(p)[1:]]
+        return [AndSpec(ctx, exponents) for exponents in levels]
+    raise ValueError(f"no generators for family {family!r}; choose from ['add', 'and', 'xor']")
 
 
 # ---------------------------------------------------------------------------

@@ -304,7 +304,6 @@ class CriterionReport(Record):
 
     ok: bool
     failure: tuple[int, int] | None = None  # lexicographically first (level, index)
-    detail: str = ""
 
     def __bool__(self) -> bool:
         return self.ok
@@ -349,9 +348,7 @@ def preserves_measure_vdp(f: LipschitzFn) -> CriterionReport:
     ctx = f.ctx
     p, table = ctx.p, f.table
     if len({v % p for v in table[:p]}) != p:
-        return CriterionReport(
-            ok=False, failure=(0, 0), detail="base coefficients not a complete residue system"
-        )
+        return CriterionReport(False, (0, 0))  # the base coefficients miss a residue
     nonzero, full = set(range(1, p)), (1 << p) - 2
     for k in range(1, ctx.precision):
         block = p**k
@@ -365,12 +362,8 @@ def preserves_measure_vdp(f: LipschitzFn) -> CriterionReport:
         else:
             residues = [(fx - frest) // block % p for fx, frest in pairs]
             m = next((m for m in range(block) if set(residues[m::block]) != nonzero), None)
-        if m is not None:
-            return CriterionReport(
-                ok=False,
-                failure=(k, m),
-                detail=f"sibling coefficients of {m} at level {k} miss a nonzero residue",
-            )
+        if m is not None:  # the sibling coefficients of m miss a nonzero residue
+            return CriterionReport(False, (k, m))
     return _CRITERION_OK
 
 
@@ -402,12 +395,8 @@ def preserves_measure_coord(f: LipschitzFn) -> CriterionReport:
         else:
             digits = [v // block % p for v in values]
             a = next((a for a in range(block) if len(set(digits[a::block])) != p), None)
-        if a is not None:
-            return CriterionReport(
-                ok=False,
-                failure=(k, a),
-                detail=f"sub-function at level {k}, prefix {a} is not a permutation",
-            )
+        if a is not None:  # the sub-function of prefix a is not a permutation
+            return CriterionReport(False, (k, a))
     return _CRITERION_OK
 
 

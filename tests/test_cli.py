@@ -6,6 +6,7 @@ import io
 import json
 import pathlib
 import resource
+import shlex
 import subprocess
 import sys
 
@@ -858,8 +859,71 @@ def test_verify_searches_once_per_operation(capsys, monkeypatch):
     assert pair_runs == []
 
 
+@pytest.mark.parametrize("op,other", [("plus", "xor"), ("xor", "and"), ("and", "add")])
+def test_verify_family_claim_needs_its_generators_to_be_members(capsys, monkeypatch, op, other):
+    # op's family handed another family's generators, none of them in op's
+    # group: the orders still agree, so only the membership half fails it
+    family_generators = cli.family_generators
+
+    def swapped(ctx, family):
+        return family_generators(ctx, other if family == cli.OP_TO_FAMILY[op] else family)
+
+    monkeypatch.setattr(cli, "family_generators", swapped)
+    code, out = run_cli(capsys, "verify", "--p", "5", "--k", "2")
+    claims = {c["name"]: c for c in json.loads(out)["claims"]}
+    assert code == 2
+    assert [name for name, c in claims.items() if not c["pass"]] == [
+        f"family-matches-oracle-{op}",
+        "trivial-pairs",
+    ]
+    assert claims[f"count-formula-{op}"]["pass"]
+
+
+@pytest.mark.parametrize("op", ["plus", "xor", "and"])
+def test_verify_family_claim_needs_the_orders_to_agree(capsys, monkeypatch, op):
+    # a family size one too large: the generators are still members, so
+    # only the order half fails the claim, beside the count formula
+    family_size = cli.family_size
+
+    def inflated(ctx, family):
+        return family_size(ctx, family) + (family == cli.OP_TO_FAMILY[op])
+
+    monkeypatch.setattr(cli, "family_size", inflated)
+    code, out = run_cli(capsys, "verify", "--p", "5", "--k", "2")
+    claims = {c["name"]: c for c in json.loads(out)["claims"]}
+    assert code == 2
+    assert [name for name, c in claims.items() if not c["pass"]] == [
+        f"family-matches-oracle-{op}",
+        f"count-formula-{op}",
+        "trivial-pairs",
+    ]
+
+
 def test_verify_exit_codes_validation():
     assert main(["verify", "--p", "4", "--k", "2"]) == 1
+
+
+def readme_commands():
+    """The argument lists of the padiclab lines in README's "Command line"
+    block, in order, with their backslash continuations joined."""
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("padiclab ")]
+
+
+def test_readme_command_line_block_runs_in_order(capsys, monkeypatch, tmp_path):
+    # run in an empty directory: every file a line reads, an earlier line writes
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert sorted({argv[0] for argv in commands}) == sorted(
+        ["eval", "make-aut", "check-hom", "vdp", "check", "analyze-g", "enumerate", "report", "verify", "cipher"]
+    )
+    for argv in commands:
+        code = main(argv)
+        captured = capsys.readouterr()
+        # verify at (3,2) keeps the honest trivial-pairs failure: exit 2
+        assert (code, captured.err) == (2 if argv[0] == "verify" else 0, ""), argv
 
 
 def test_cipher_encrypt_decrypt(capsys):

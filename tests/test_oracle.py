@@ -12,6 +12,7 @@ from padiclab import (
     PrimeContext,
     compare_with_family,
     enumerate_automorphisms,
+    family_generators,
     family_size,
     family_specs,
     family_tables,
@@ -19,7 +20,6 @@ from padiclab import (
     random_measure_preserving,
     realize,
     verify_trivial_pairs,
-    xor_generators,
 )
 from padiclab import oracle
 from padiclab.automorph import Operation
@@ -785,13 +785,26 @@ def test_membership_matches_the_composed_group_on_the_grid(p, k):
         assert [t in result for t in samples] == [t in group for t in samples], ops
 
 
+# the number of generators per family at p = 2 and at odd p: two units,
+# the elementary matrices and a diagonal one per level at odd p, and each
+# exponent other than 1 on one level
+def generator_count(p, k, family):
+    if family == "add":
+        return 2
+    if family == "xor":
+        return k * (k - 1) // 2 + (k if p > 2 else 0)
+    return k * (len([s for s in range(1, p) if math.gcd(s, p - 1) == 1]) - 1)
+
+
+@pytest.mark.parametrize("family", ["add", "xor", "and"])
 @pytest.mark.parametrize(
-    "p,k", [(2, k) for k in range(1, 6)] + [(3, k) for k in range(1, 4)] + [(5, 1), (5, 2), (7, 2)]
+    "p,k",
+    [(2, k) for k in range(1, 6)] + [(3, k) for k in range(1, 4)] + [(5, 1), (5, 2), (7, 2), (11, 2), (13, 2)],
 )
-def test_xor_generators_generate_the_family(p, k):
+def test_family_generators_generate_the_family(p, k, family):
     ctx = PrimeContext(p, k)
-    generators = [realize(spec).table for spec in xor_generators(ctx)]
-    assert len(generators) == k * (k - 1) // 2 + (k if p > 2 else 0)
+    generators = [realize(spec).table for spec in family_generators(ctx, family)]
+    assert len(generators) == generator_count(p, k, family)
     identity = tuple(range(ctx.modulus))
     closure, queue = {identity}, [identity]
     for f in queue:
@@ -800,15 +813,37 @@ def test_xor_generators_generate_the_family(p, k):
             if fs not in closure:
                 closure.add(fs)
                 queue.append(fs)
-    assert closure == family_tables(ctx, "xor")
+    assert closure == family_tables(ctx, family)
 
 
-# verify checks xor by its generators and its order; the whole set is
-# compared here, at every context where verify compared it before
+@pytest.mark.parametrize("family", ["mul", "times", "nand", ""])
+def test_family_generators_refuse_mul_and_unknown_families_at_the_call(family):
+    with pytest.raises(ValueError, match=f"no generators for family {family!r}"):
+        family_generators(PrimeContext(3, 2), family)
+
+
+# verify checks each single-op family by its generators and its order; the
+# whole set is compared here, at every context where verify compared it
+# before: xor at the pinned verify contexts below the output guard, plus
+# and and at every pinned verify context
+def assert_group_equals_its_family(op, p, k):
+    ctx = PrimeContext(p, k)
+    comparison = compare_with_family(enumerate_automorphisms(ctx, [op]))
+    assert comparison.equal
+    assert comparison.enumerated_count == comparison.family_count == family_size(ctx, OP_TO_FAMILY[op])
+
+
 @pytest.mark.parametrize("p,k", list(GRID_NODES) + [(7, 2), (3, 4), (13, 2), (5, 3), (2, 6)])
 def test_xor_group_equals_its_family(p, k):
-    comparison = compare_with_family(enumerate_automorphisms(PrimeContext(p, k), ["xor"]))
-    assert comparison.equal and comparison.enumerated_count == family_size(PrimeContext(p, k), "xor")
+    assert_group_equals_its_family("xor", p, k)
+
+
+@pytest.mark.parametrize("op", ["plus", "and"])
+@pytest.mark.parametrize(
+    "p,k", list(GRID_NODES) + [(7, 2), (3, 4), (13, 2), (5, 3), (2, 6), (2, 7), (3, 5), (7, 3)]
+)
+def test_plus_and_and_groups_equal_their_families(p, k, op):
+    assert_group_equals_its_family(op, p, k)
 
 
 def test_enumeration_result_json():

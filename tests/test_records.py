@@ -43,7 +43,7 @@ RECORDS = [
     (UnitDecomposition, ("valuation", "theta", "one_plus_pt", "t"),
      (0, C32.one(), C32.one(), C32.zero())),
     (VdpSeries, ("ctx", "coefficients"), (PrimeContext(3, 1), (0, 1, 2))),
-    (CriterionReport, ("ok", "failure", "detail"), (False, (1, 2), "digit 2 repeats")),
+    (CriterionReport, ("ok", "failure"), (False, (1, 2))),
     (AddSpec, ("A",), (C32.integer(2),)),
     (MulSpec, ("s", "a", "A"), (1, C32.integer(2), C32.integer(4))),
     (XorSpec, ("ctx", "alpha"), (C32, ((1,), (0, 2)))),
@@ -133,10 +133,8 @@ def test_record_json_keys_follow_declaration_order(record):
 
 
 def test_record_reprs_and_defaults():
-    assert CriterionReport(True) == CriterionReport(True, None, "") == CriterionReport(ok=True)
-    assert repr(CriterionReport(False, detail="x")) == (
-        "CriterionReport(ok=False, failure=None, detail='x')"
-    )
+    assert CriterionReport(True) == CriterionReport(True, None) == CriterionReport(ok=True)
+    assert repr(CriterionReport(False)) == "CriterionReport(ok=False, failure=None)"
     assert repr(HomReport(True, None, "random", 10)) == (
         "HomReport(ok=True, counterexample=None, mode='random', checked=10)"
     )
