@@ -496,12 +496,13 @@ def family_generators(ctx: PrimeContext, family: str) -> list[AutSpec]:
     add: the units mod p**K, a root of unity times a principal unit as in
     ``_mul_table``: -1 and 5 at p = 2; at odd p, the Teichmueller lift of a
     primitive root mod p, of order p - 1, and 1 + p.
-    xor: the lower-triangular invertible matrices mod p.  The elementary
-    matrices, the identity with a 1 at one place below the diagonal,
-    generate the unitriangular ones; at odd p, one diagonal matrix per level,
-    with the primitive root at that level and 1 at every other, generates
-    the diagonal ones.  Every member is a diagonal matrix times a
-    unitriangular one.
+    xor: the lower-triangular invertible matrices mod p.  The K - 1
+    elementary matrices next to the diagonal, the identity with a 1 at row
+    k, column k - 1, generate the unitriangular ones, since their
+    commutators put a 1 at every place further below; at odd p, one
+    diagonal matrix per level, with the primitive root at that level and 1
+    at every other, generates the diagonal ones.  Every member is a
+    diagonal matrix times a unitriangular one.
     and: the exponents coprime to p - 1 compose by multiplication mod p - 1
     on each level apart, so each one other than 1 at one level, with 1 at
     every other, generates.
@@ -523,7 +524,7 @@ def family_generators(ctx: PrimeContext, family: str) -> list[AutSpec]:
             return XorSpec(ctx, tuple(map(tuple, rows)))
 
         diagonal = [matrix(k, k, root) for k in range(K) if p > 2]
-        return [matrix(k, i, 1) for k in range(K) for i in range(k)] + diagonal
+        return [matrix(k, k - 1, 1) for k in range(1, K)] + diagonal
     if family == "and":
         levels = [(1,) * k + (e,) + (1,) * (K - 1 - k) for k in range(K) for e in _coprime_exponents(p)[1:]]
         return [AndSpec(ctx, exponents) for exponents in levels]

@@ -15,6 +15,7 @@ u**a depends only on a mod p**(K-1) and pow(u, a mod p**K, p**K) is exact.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import re
@@ -537,14 +538,23 @@ def unit_decompose(x: PadicInt) -> UnitDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def _fraction_mod(num: int, den: int, p: int, modulus: int) -> int:
-    """num/den modulo p**K, valid when v_p(den) <= v_p(num)."""
-    while den % p == 0:
-        if num % p != 0:
-            raise ValueError("fraction is not a p-adic integer")
-        num //= p
-        den //= p
-    return num * pow(den, -1, modulus) % modulus
+def _series(ctx: PrimeContext, x: int, coefficients: list[int], denominator: int) -> int:
+    """sum c_n x**n / denominator modulo p**K, the c_n from the top degree down.
+
+    Requires the sum to be p-integral.  Horner runs modulo p**(K+e), e =
+    v_p(denominator); the numerator sum is then denominator times a p-adic
+    integer, so p**e divides it, and one exact division and one inverse of
+    the unit denominator / p**e leave the value modulo p**K.
+    """
+    shift = 1
+    while denominator % ctx.p == 0:
+        denominator //= ctx.p
+        shift *= ctx.p
+    modulus = ctx.modulus * shift
+    acc = 0
+    for c in coefficients:
+        acc = (acc * x + c) % modulus
+    return acc // shift * pow(denominator, -1, ctx.modulus) % ctx.modulus
 
 
 def exp_p(t: PadicInt) -> PadicInt:
@@ -553,7 +563,10 @@ def exp_p(t: PadicInt) -> PadicInt:
     Requires valuation(t) >= 1 for odd p and >= 2 for p = 2.  The series is
     cut at the first N where n*v_min - (n-1)/(p-1) >= K; that lower bound on
     the term valuation (via Legendre's count of p in n!) is increasing in n,
-    so every omitted term vanishes modulo p**K.
+    so every omitted term vanishes modulo p**K.  The kept terms are summed as
+    sum (N!/n!) t**n over N!: every term t**n/n! is a p-adic integer on the
+    domain, so p**v_p(N!) divides the numerator sum and ``_series`` divides
+    it out exactly.
     """
     ctx = t.ctx
     # convergence domain of the exponential series: v >= 1 (p odd), v >= 2 (p = 2)
@@ -561,17 +574,13 @@ def exp_p(t: PadicInt) -> PadicInt:
     v = t.valuation()
     if v < vmin:
         raise ValueError(f"exp needs valuation >= {vmin} for p={ctx.p}, got {v}")
-    acc = 1  # n = 0 term
-    z_pow = 1
-    factorial = 1
-    n = 1
-    # include term n while n*vmin - (n-1)/(p-1) < K, scaled by p-1 to stay in Z
-    while n * vmin * (ctx.p - 1) - (n - 1) < ctx.precision * (ctx.p - 1):
-        z_pow *= t.value
-        factorial *= n
-        acc = (acc + _fraction_mod(z_pow, factorial, ctx.p, ctx.modulus)) % ctx.modulus
-        n += 1
-    return PadicInt(ctx, acc)
+    # term n is kept while n*vmin*(p-1) - (n-1) < K*(p-1), scaled by p-1 to
+    # stay in Z: n*step <= K*(p-1) - 2 with step >= 1, and at (2, 1) only n = 0
+    step = vmin * (ctx.p - 1) - 1
+    last = max(0, (ctx.precision * (ctx.p - 1) - 2) // step)
+    # N!/n! for n = N down to 0: 1, N, N(N-1), ..., N!
+    coefficients = list(itertools.accumulate(range(last, 0, -1), operator.mul, initial=1))
+    return PadicInt(ctx, _series(ctx, t.value, coefficients, coefficients[-1]))
 
 
 def ln_p(x: PadicInt) -> PadicInt:
@@ -580,6 +589,9 @@ def ln_p(x: PadicInt) -> PadicInt:
     Requires x = 1 mod p for odd p and x = 1 mod 4 for p = 2.  Terms are
     (-1)**(n+1) z**n / n; the cut point is the first n >= 2 with
     n*v(z) - log_p(n) >= K, past which every term valuation stays >= K.
+    The kept terms are summed as sum (+-D/n) z**n over D = lcm(1..N): every
+    term z**n/n is a p-adic integer on the domain, so p**v_p(D) divides the
+    numerator sum and ``_series`` divides it out exactly.
     """
     ctx = x.ctx
     z = x.value - 1
@@ -591,18 +603,13 @@ def ln_p(x: PadicInt) -> PadicInt:
     if z == 0:
         return ctx.zero()
     v = ctx.valuation_of(z)
-    acc = 0
-    z_pow = 1
-    n = 1
-    while True:
-        # stop once n*v - log_p(n) >= K and the bound is monotone (n >= 2)
-        if n >= 2 and n * v >= ctx.precision and ctx.p ** (n * v - ctx.precision) >= n:
-            break
-        z_pow *= z
-        term = _fraction_mod(z_pow, n, ctx.p, ctx.modulus)
-        acc = (acc - term if n % 2 == 0 else acc + term) % ctx.modulus
-        n += 1
-    return PadicInt(ctx, acc)
+    cut = 2
+    # cut at the first n >= 2 with n*v - log_p(n) >= K (the bound is monotone from 2)
+    while cut * v < ctx.precision or ctx.p ** (cut * v - ctx.precision) < cut:
+        cut += 1
+    denominator = math.lcm(*range(1, cut))
+    coefficients = [(denominator // n if n % 2 else -denominator // n) for n in range(cut - 1, 0, -1)]
+    return PadicInt(ctx, _series(ctx, z, coefficients + [0], denominator))
 
 
 def pow_unit(x: PadicInt, exponent: "PadicInt | int") -> PadicInt:

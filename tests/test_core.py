@@ -28,7 +28,51 @@ from padiclab import (
     teichmuller,
     unit_decompose,
 )
-from padiclab.core import _fraction_mod
+
+
+def _fraction_mod(num: int, den: int, p: int, modulus: int) -> int:
+    """num/den modulo p**K, valid when v_p(den) <= v_p(num)."""
+    while den % p == 0:
+        if num % p != 0:
+            raise ValueError("fraction is not a p-adic integer")
+        num //= p
+        den //= p
+    return num * pow(den, -1, modulus) % modulus
+
+
+def exp_terms(t) -> int:
+    """Reference exponential: t**n / n! summed term by term, each reduced apart.
+
+    The cut-off is exp_p's: term n is kept while n*v_min - (n-1)/(p-1) < K.
+    """
+    ctx = t.ctx
+    vmin = 2 if ctx.p == 2 else 1
+    acc, z_pow, factorial, n = 1, 1, 1, 1
+    while n * vmin * (ctx.p - 1) - (n - 1) < ctx.precision * (ctx.p - 1):
+        z_pow *= t.value
+        factorial *= n
+        acc = (acc + _fraction_mod(z_pow, factorial, ctx.p, ctx.modulus)) % ctx.modulus
+        n += 1
+    return acc
+
+
+def ln_terms(x) -> int:
+    """Reference logarithm: (-1)**(n+1) z**n / n summed term by term, z = x - 1.
+
+    The cut-off is ln_p's: the first n >= 2 with n*v(z) - log_p(n) >= K.
+    """
+    ctx = x.ctx
+    z = x.value - 1
+    if z == 0:
+        return 0
+    v = ctx.valuation_of(z)
+    acc, z_pow, n = 0, 1, 1
+    while not (n >= 2 and n * v >= ctx.precision and ctx.p ** (n * v - ctx.precision) >= n):
+        z_pow *= z
+        term = _fraction_mod(z_pow, n, ctx.p, ctx.modulus)
+        acc = (acc - term if n % 2 == 0 else acc + term) % ctx.modulus
+        n += 1
+    return acc
 
 
 def pow_unit_binomial(x, exponent_value: int) -> int:
@@ -317,14 +361,14 @@ def test_exp_ln_examples():
 
 def test_exp_ln_domains():
     c53 = PrimeContext(5, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^exp needs valuation >= 1 for p=5, got 0$"):
         exp_p(c53.integer(2))  # unit argument
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^ln needs x = 1 mod 5, got 7$"):
         ln_p(c53.integer(7))  # 7 != 1 mod 5
     c24 = PrimeContext(2, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^exp needs valuation >= 2 for p=2, got 1$"):
         exp_p(c24.integer(2))  # needs valuation >= 2 at p=2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^ln at p=2 needs x = 1 mod 4, got 3$"):
         ln_p(c24.integer(3))  # needs 1 mod 4 at p=2
 
 
@@ -339,6 +383,53 @@ def test_exp_ln_mutually_inverse():
         assert ln_p(exp_p(c24.integer(t))).value == t
     for x in range(1, c24.modulus, 4):
         assert exp_p(ln_p(c24.integer(x))).value == x
+
+
+def _exp_ln_domains(ctx: PrimeContext):
+    """(step, count): exp's domain is step*i and ln's 1 + step*i, i < count, step p or 4 at p = 2."""
+    step = 4 if ctx.p == 2 else ctx.p
+    return step, ctx.modulus // step
+
+
+@pytest.mark.parametrize(
+    "p,k",
+    [(2, k) for k in range(1, 9)] + [(3, k) for k in range(1, 6)] + [(5, k) for k in range(1, 4)] + [(7, 1), (7, 2)]
+    + [(2, 32), (3, 20), (5, 13), (65521, 2), (65521, 32)],
+)
+def test_exp_ln_match_term_by_term_series(p, k):
+    # every domain element up to 256 residues, else the ends and 500 seeded
+    ctx = PrimeContext(p, k)
+    step, count = _exp_ln_domains(ctx)
+    rng = random.Random(ctx.modulus)
+    if ctx.modulus <= 256:
+        indices = range(count)
+    else:
+        indices = [0, 1, 2, count - 1] + [rng.randrange(count) for _ in range(500)]
+    for i in indices:
+        t, x = ctx.integer(step * i), ctx.integer(1 + step * i)
+        assert exp_p(t).value == exp_terms(t), t
+        assert ln_p(x).value == ln_terms(x), x
+
+
+POINTS_CONTEXTS = [PrimeContext(3, 20), PrimeContext(2, 32), PrimeContext(5, 13), PrimeContext(65521, 2)]
+
+
+@st.composite
+def exp_ln_operands(draw):
+    """A points context, two elements of exp's domain and two of ln's."""
+    ctx = draw(st.sampled_from(POINTS_CONTEXTS))
+    step, count = _exp_ln_domains(ctx)
+    s, t, x, y = (draw(st.integers(0, count - 1)) for _ in range(4))
+    return ctx.integer(step * s), ctx.integer(step * t), ctx.integer(1 + step * x), ctx.integer(1 + step * y)
+
+
+@given(exp_ln_operands())
+def test_exp_ln_laws_at_the_points_contexts(operands):
+    s, t, x, y = operands
+    assert exp_p(s + t) == exp_p(s) * exp_p(t)
+    assert ln_p(x * y) == ln_p(x) + ln_p(y)
+    assert ln_p(exp_p(t)) == t
+    assert exp_p(ln_p(x)) == x
 
 
 def test_pow_unit_examples():

@@ -786,13 +786,13 @@ def test_membership_matches_the_composed_group_on_the_grid(p, k):
 
 
 # the number of generators per family at p = 2 and at odd p: two units,
-# the elementary matrices and a diagonal one per level at odd p, and each
-# exponent other than 1 on one level
+# the k - 1 elementary matrices next to the diagonal and a diagonal one per
+# level at odd p, and each exponent other than 1 on one level
 def generator_count(p, k, family):
     if family == "add":
         return 2
     if family == "xor":
-        return k * (k - 1) // 2 + (k if p > 2 else 0)
+        return k - 1 + (k if p > 2 else 0)
     return k * (len([s for s in range(1, p) if math.gcd(s, p - 1) == 1]) - 1)
 
 
